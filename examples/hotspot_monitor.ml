@@ -1,11 +1,11 @@
-(* Watch the Hot Spot Detector hardware at work — through the runtime
-   telemetry layer.  A telemetry-enabled profiling run samples the
-   detector every interval (HDC value, BBB occupancy, candidate count)
-   and stamps every detection/recording/re-arm event with its
-   retired-branch index; this example renders those series as
-   sparklines, lists the first events, and then reruns the detector
-   under the hardware snapshot history of [4] to show the recording
-   traffic it saves.
+(* Watch the Hot Spot Detector hardware at work — through the
+   recorder's per-run timelines.  A profiling run whose recorder has a
+   sampling interval samples the detector every interval (HDC value,
+   BBB occupancy, candidate count) and stamps every
+   detection/recording/re-arm event with its retired-branch index;
+   this example renders those series as sparklines, lists the first
+   events, and then reruns the detector under the hardware snapshot
+   history of [4] to show the recording traffic it saves.
 
      dune exec examples/hotspot_monitor.exe *)
 
@@ -15,16 +15,17 @@ module Image = Vp_prog.Image
 module Emulator = Vp_exec.Emulator
 module Detector = Vp_hsd.Detector
 module Snapshot = Vp_hsd.Snapshot
+module Timeline = Vp_obs.Timeline
 
 let () =
   let w = Option.get (Registry.find ~bench:"mpeg2dec" ~input:"A") in
   let image = Program.layout (w.Registry.program ()) in
 
-  (* One profiling run with telemetry on: the driver owns the timeline
-     and installs the detector hooks for us. *)
+  (* One profiling run with a sampling recorder: the driver owns the
+     timeline and installs the detector hooks for us. *)
   let config =
-    Vacuum.Config.with_telemetry
-      (Vp_telemetry.on ~interval:10_000 ())
+    Vacuum.Config.with_obs
+      (Vp_obs.create ~interval:10_000 ())
       Vacuum.Config.default
   in
   let profile = Vacuum.Driver.profile ~config image in
@@ -32,16 +33,16 @@ let () =
   let outcome = profile.Vacuum.Driver.outcome in
 
   Printf.printf "instructions retired: %d (%d intervals of %d)\n"
-    outcome.Emulator.instructions (Vp_telemetry.intervals tl)
-    (Vp_telemetry.interval_length tl);
+    outcome.Emulator.instructions (Timeline.intervals tl)
+    (Timeline.interval_length tl);
   Printf.printf "raw detections:       %d\n" profile.Vacuum.Driver.detections;
   Printf.printf "snapshots recorded:   %d\n\n"
     (List.length profile.Vacuum.Driver.snapshots);
 
   Printf.printf "=== detector state per interval ===\n";
   let bar name =
-    let values = Option.value ~default:[||] (Vp_telemetry.Series.find tl name) in
-    Printf.printf "%-22s|%s|\n" name (Vp_telemetry.Render.sparkline values)
+    let values = Option.value ~default:[||] (Timeline.Series.find tl name) in
+    Printf.printf "%-22s|%s|\n" name (Vp_obs.Render.sparkline values)
   in
   bar "profile.hdc";
   bar "profile.bbb_occupancy";
@@ -52,10 +53,10 @@ let () =
   List.iteri
     (fun i (kind, at, value) ->
       if i < 9 then Printf.printf "  %-8s at branch %8d (value %d)\n" kind at value)
-    (Vp_telemetry.Event.all tl);
+    (Timeline.Event.all tl);
   List.iter
     (fun kind ->
-      Printf.printf "  %-8s %d total\n" kind (Vp_telemetry.Event.count tl ~kind))
+      Printf.printf "  %-8s %d total\n" kind (Timeline.Event.count tl ~kind))
     [ "detect"; "record"; "rearm" ];
 
   Printf.printf "\n=== first snapshot (BBB contents at detection) ===\n";

@@ -16,6 +16,7 @@ module Program = Vp_prog.Program
 module Emulator = Vp_exec.Emulator
 module Session = Vacuum.Session
 module Config = Vacuum.Config
+module Timeline = Vp_obs.Timeline
 
 (* Accept the exact Table 1 bench name or any unambiguous suffix:
    "134.perl" and "perl" both name 134.perl. *)
@@ -107,8 +108,8 @@ let trace_flag doc = Spec.flag ~kind:Spec.Value ~docv:"FILE" ~doc [ "trace" ]
 
 let obs_trace_flag =
   trace_flag
-    "Record pipeline spans and counters and write a JSON-lines trace (schema \
-     vp-obs-trace/1, one object per line) to FILE."
+    "Record pipeline spans and write them to FILE as a Chrome trace-event / \
+     Perfetto JSON trace (schema vp-perfetto-trace/1)."
 
 let ingest_trace_flag =
   Spec.flag ~kind:Spec.Value ~docv:"FILE"
@@ -419,9 +420,7 @@ let report_cmd =
       let backend = resolve_backend m in
       let ws = List.map find_workload (Spec.values m "workload") in
       let trace = Spec.value m "trace" in
-      let obs =
-        match trace with Some _ -> Vp_obs.create () | None -> Vp_obs.disabled
-      in
+      let obs = if trace = None then Vp_obs.disabled else Vp_obs.create () in
       let config =
         Config.with_backend backend (Config.with_obs obs (config_of m))
       in
@@ -441,10 +440,9 @@ let report_cmd =
       match trace with
       | None -> ()
       | Some path ->
-        Vp_obs.Sink.write_trace obs ~path;
-        Printf.printf "trace: %d spans, %d counters -> %s\n"
+        Vp_obs.Perfetto.write_spans obs ~path;
+        Printf.printf "trace: %d spans -> %s\n"
           (List.length (Vp_obs.Sink.spans obs))
-          (List.length (Vp_obs.Sink.counters obs))
           path)
 
 (* --- stats --- *)
@@ -453,8 +451,8 @@ let stats_cmd =
   let metrics_flag =
     Spec.flag ~kind:Spec.Bool
       ~doc:
-        "Also enable the metrics registry and print its one-shot OpenMetrics \
-         snapshot (volatile section included)."
+        "Also print the recorder's one-shot OpenMetrics snapshot (volatile \
+         section included)."
       [ "metrics" ]
   in
   Spec.cmd ~name:"stats"
@@ -471,14 +469,8 @@ let stats_cmd =
       let backend = resolve_backend m in
       let w = workload_of m in
       let obs = Vp_obs.create () in
-      let metrics =
-        if Spec.flag_set m "metrics" then Vp_metrics.create ()
-        else Vp_metrics.disabled
-      in
       let config =
-        Config.with_backend backend
-          (Config.with_obs obs
-             (Config.with_metrics metrics (config_of m)))
+        Config.with_backend backend (Config.with_obs obs (config_of m))
       in
       let img = Program.layout (w.Registry.program ()) in
       let report =
@@ -496,20 +488,20 @@ let stats_cmd =
       (match Vp_obs.Sink.dropped_spans obs with
       | 0 -> ()
       | n -> Printf.printf "(%d spans dropped to ring wrap-around)\n" n);
-      if Vp_metrics.enabled metrics then begin
+      if Spec.flag_set m "metrics" then begin
         Printf.printf "\nmetrics snapshot:\n";
-        print_string (Vp_metrics.Snapshot.render ~volatile:true metrics)
+        print_string (Vp_obs.Snapshot.render ~volatile:true obs)
       end;
       match Spec.value m "trace" with
       | None -> ()
-      | Some path -> Vp_obs.Sink.write_trace obs ~path)
+      | Some path -> Vp_obs.Perfetto.write_spans obs ~path)
 
 (* --- timeline --- *)
 
 let timeline_cmd =
   let interval_flag =
     Spec.flag ~kind:Spec.Value ~docv:"N"
-      ~default:(string_of_int Vp_telemetry.default_interval)
+      ~default:(string_of_int Vp_obs.default_interval)
       ~check:Spec.check_int ~doc:"Sampling interval in retired instructions."
       [ "interval" ]
   in
@@ -537,25 +529,25 @@ let timeline_cmd =
       let backend = resolve_backend m in
       let w = workload_of_pos m in
       let interval =
-        Spec.int_value m "interval" ~default:Vp_telemetry.default_interval
+        Spec.int_value m "interval" ~default:Vp_obs.default_interval
       in
       let width = Spec.int_value m "width" ~default:72 in
       let img = Program.layout (w.Registry.program ()) in
       let config =
         Config.with_backend backend
-          (Config.with_telemetry (Vp_telemetry.on ~interval ()) (config_of m))
+          (Config.with_obs (Vp_obs.create ~interval ()) (config_of m))
       in
       let profile = Vacuum.Driver.profile ~config img in
       let tl = profile.Vacuum.Driver.timeline in
       let series name =
-        Option.value ~default:[||] (Vp_telemetry.Series.find tl name)
+        Option.value ~default:[||] (Timeline.Series.find tl name)
       in
       Printf.printf "%s: %d instructions, %d intervals of %d\n"
         (Registry.name w) profile.Vacuum.Driver.outcome.Emulator.instructions
-        (Vp_telemetry.intervals tl) interval;
+        (Timeline.intervals tl) interval;
       let bar name values =
         Printf.printf "%-14s|%s|\n" name
-          (Vp_telemetry.Render.sparkline ~width values)
+          (Vp_obs.Render.sparkline ~width values)
       in
       Printf.printf "\nprofiling run (detector state per interval):\n";
       bar "hdc" (series "profile.hdc");
@@ -564,7 +556,7 @@ let timeline_cmd =
       List.iter
         (fun kind ->
           Printf.printf "%-14s%d events\n" kind
-            (Vp_telemetry.Event.count tl ~kind))
+            (Timeline.Event.count tl ~kind))
         [ "detect"; "record"; "rearm" ];
       (* Phase extents: map the phase log's branch-index spans onto the
          interval axis through the cumulative branch series. *)
@@ -580,7 +572,7 @@ let timeline_cmd =
       Printf.printf "\nphase extents:\n";
       List.iter
         (fun (id, row) -> Printf.printf "phase %-8d|%s|\n" id row)
-        (Vp_telemetry.Render.extent_rows ~width ~cum extents);
+        (Vp_obs.Render.extent_rows ~width ~cum extents);
       (* Rewrite, then attribute the rewritten run's retirement stream
          to original code vs. each emitted package. *)
       let r = Vacuum.Driver.rewrite_of_profile ~config profile in
@@ -588,17 +580,17 @@ let timeline_cmd =
       let res = cov.Vacuum.Coverage.residency in
       let total =
         Option.value ~default:[||]
-          (Vp_telemetry.Series.find res "run.instructions")
+          (Timeline.Series.find res "run.instructions")
       in
       Printf.printf
         "\nrewritten run residency (coverage %.1f%%, %d launches, %d side \
          exits):\n"
         cov.Vacuum.Coverage.coverage_pct
-        (Vp_telemetry.Event.count res ~kind:"launch")
-        (Vp_telemetry.Event.count res ~kind:"side_exit");
+        (Timeline.Event.count res ~kind:"launch")
+        (Timeline.Event.count res ~kind:"side_exit");
       List.iter
         (fun name ->
-          match Vp_telemetry.Series.find res name with
+          match Timeline.Series.find res name with
           | Some part when name <> "run.instructions" ->
             let label =
               String.sub name 4 (String.length name - 4 - 13)
@@ -612,42 +604,42 @@ let timeline_cmd =
             Printf.printf "%-14s|%s| %5.1f%%\n"
               (if String.length label > 14 then String.sub label 0 14
                else label)
-              (Vp_telemetry.Render.lane ~width ~total part)
+              (Vp_obs.Render.lane ~width ~total part)
               share
           | _ -> ())
-        (Vp_telemetry.Series.names res);
+        (Timeline.Series.names res);
       let timelines = ref [ tl; res ] in
       if Spec.flag_set m "timing" then begin
-        let tt = Vp_telemetry.create (Config.telemetry config) in
+        let tt = Timeline.create (Config.obs config) in
         let stats =
           Vp_cpu.Pipeline.simulate ~config:(Config.cpu config)
             ~backend:(Config.backend config) ~fuel:(Config.fuel config)
-            ~mem_words:(Config.mem_words config) ~telemetry:tt
+            ~mem_words:(Config.mem_words config) ~timeline:tt
             (Vacuum.Driver.rewritten_image r)
         in
         timelines := !timelines @ [ tt ];
         let tseries name =
-          Option.value ~default:[||] (Vp_telemetry.Series.find tt name)
+          Option.value ~default:[||] (Timeline.Series.find tt name)
         in
         Printf.printf "\ntiming model on the rewritten binary (IPC %.3f):\n"
           stats.Vp_cpu.Pipeline.ipc;
         Printf.printf "%-14s|%s|\n" "cycles"
-          (Vp_telemetry.Render.sparkline ~width (tseries "timing.cycles"));
+          (Vp_obs.Render.sparkline ~width (tseries "timing.cycles"));
         Printf.printf "%-14s|%s|\n" "icache miss"
-          (Vp_telemetry.Render.sparkline ~width
+          (Vp_obs.Render.sparkline ~width
              (tseries "timing.icache_misses"));
         Printf.printf "%-14s|%s|\n" "dcache miss"
-          (Vp_telemetry.Render.sparkline ~width
+          (Vp_obs.Render.sparkline ~width
              (tseries "timing.dcache_misses"));
         Printf.printf "%-14s|%s|\n" "mispredicts"
-          (Vp_telemetry.Render.sparkline ~width (tseries "timing.mispredicts"));
+          (Vp_obs.Render.sparkline ~width (tseries "timing.mispredicts"));
         Printf.printf "%-14s|%s|\n" "fetch stalls"
-          (Vp_telemetry.Render.sparkline ~width (tseries "timing.fetch_stalls"))
+          (Vp_obs.Render.sparkline ~width (tseries "timing.fetch_stalls"))
       end;
       match Spec.value m "trace" with
       | None -> ()
       | Some path ->
-        Vp_telemetry.Sink.write_trace ~path !timelines;
+        Timeline.write_trace ~path !timelines;
         Printf.printf "\ntrace: %d timelines -> %s\n"
           (List.length !timelines)
           path)
@@ -723,7 +715,7 @@ let serve_cmd =
   in
   let interval_flag =
     Spec.flag ~kind:Spec.Value ~docv:"N"
-      ~default:(string_of_int Vp_telemetry.default_interval)
+      ~default:(string_of_int Vp_obs.default_interval)
       ~check:Spec.check_int
       ~doc:"Telemetry sampling interval for --trace-dir, in retired \
             instructions."
@@ -751,7 +743,8 @@ let serve_cmd =
       ~doc:
         "Flight recorder: on a fallback to the original image, a verifier \
          rejection or an oracle failure, dump the metric registry with its \
-         recent mark ring (plus the obs trace, if recording) to DIR."
+         recent mark ring (plus the recorded spans, as a Perfetto trace) to \
+         DIR."
       [ "flight-dir" ]
   in
   Spec.cmd ~name:"serve"
@@ -786,15 +779,16 @@ let serve_cmd =
       let metrics_path = Spec.value m "metrics" in
       let perfetto_path = Spec.value m "perfetto" in
       let flight_dir = Spec.value m "flight-dir" in
-      let metrics =
-        match (metrics_path, flight_dir) with
-        | None, None -> Vp_metrics.disabled
-        | _ -> Vp_metrics.create ?flight_dir ()
-      in
       let obs =
-        match perfetto_path with
-        | Some _ -> Vp_obs.create ()
-        | None -> Vp_obs.disabled
+        match (trace_dir, metrics_path, perfetto_path, flight_dir) with
+        | None, None, None, None -> Vp_obs.disabled
+        | _ ->
+          let interval =
+            Spec.int_value m "interval" ~default:Vp_obs.default_interval
+          in
+          Vp_obs.create ?flight_dir
+            ?interval:(Option.map (fun _ -> interval) trace_dir)
+            ()
       in
       let config =
         Config.default
@@ -814,19 +808,7 @@ let serve_cmd =
                      ~default:Config.default_session.Config.patch_grace;
                  oracle = not (Spec.flag_set m "no-oracle");
                })
-        |> Config.with_metrics metrics
         |> Config.with_obs obs
-        |> fun c ->
-        match trace_dir with
-        | None -> c
-        | Some _ ->
-          Config.with_telemetry
-            (Vp_telemetry.on
-               ~interval:
-                 (Spec.int_value m "interval"
-                    ~default:Vp_telemetry.default_interval)
-               ())
-            c
       in
       (* One session per workload, stepped in lock-step epoch rounds on
          the domain pool — equivalent to [Session.run] per workload
@@ -846,7 +828,7 @@ let serve_cmd =
       for epoch = 0 to epochs - 1 do
         ignore
           (Vp_util.Pool.map ~jobs
-             ?hooks:(Vp_metrics.Sched.hooks metrics)
+             ?hooks:(Vp_obs.Sched.hooks obs)
              (fun (i, _w, s) ->
                if not (Session.halted s) then begin
                  let t0 = if perfetto_on then Unix.gettimeofday () else 0.0 in
@@ -860,7 +842,7 @@ let serve_cmd =
                end)
              sessions);
         match metrics_path with
-        | Some path -> Vp_metrics.Snapshot.write metrics ~path
+        | Some path -> Vp_obs.Snapshot.write obs ~path
         | None -> ()
       done;
       let results = List.map (fun (_, w, s) -> (w, Session.report s)) sessions in
@@ -883,7 +865,7 @@ let serve_cmd =
               Filename.concat dir
                 (Printf.sprintf "session-%s.jsonl" (sanitize (Registry.name w)))
             in
-            Vp_telemetry.Sink.write_trace ~path
+            Timeline.write_trace ~path
               (List.map
                  (fun (e : Session.epoch_report) -> e.Session.timeline)
                  r.Session.epochs);
@@ -896,7 +878,7 @@ let serve_cmd =
          diffs across --jobs. *)
       (match metrics_path with
       | Some path ->
-        Vp_metrics.Snapshot.write metrics ~path;
+        Vp_obs.Snapshot.write obs ~path;
         Printf.eprintf "metrics -> %s\n%!" path
       | None -> ());
       (match perfetto_path with
@@ -905,7 +887,7 @@ let serve_cmd =
           List.rev_map
             (fun (i, epoch, t0, dur) ->
               {
-                Vp_metrics.Perfetto.name = Printf.sprintf "epoch-%d" epoch;
+                Vp_obs.Perfetto.name = Printf.sprintf "epoch-%d" epoch;
                 cat = "session";
                 pid = 3;
                 tid = i;
@@ -915,11 +897,10 @@ let serve_cmd =
             !epoch_events
         in
         let events =
-          Vp_metrics.Perfetto.of_spans ~pid:1 ~cat:"driver"
-            (Vp_obs.Sink.spans obs)
+          Vp_obs.Perfetto.of_spans ~pid:1 ~cat:"driver" (Vp_obs.Sink.spans obs)
           @ session_events
         in
-        Vp_metrics.Perfetto.write
+        Vp_obs.Perfetto.write
           ~processes:[ (1, "driver"); (3, "session") ]
           ~path events;
         Printf.eprintf "perfetto: %d events -> %s\n%!" (List.length events) path
@@ -928,13 +909,62 @@ let serve_cmd =
 
 (* --- trace-check --- *)
 
+(* One dispatch table over every schema vpack emits, sniffed from the
+   first line; success and failure reports are uniform across schemas.
+   [Ok] carries the stdout line, [Error] the stderr line. *)
+let check_trace file =
+  let counted what validate path =
+    Result.map (fun n -> Printf.sprintf "%d %s" n what) (validate ~path)
+  in
+  let validators =
+    [
+      ("vp-timeline-trace/1", counted "lines" Timeline.validate_file);
+      ( "vp-profile-wire/1",
+        fun path ->
+          Result.map
+            (fun (runs, snapshots) ->
+              Printf.sprintf "%d runs, %d snapshots" runs snapshots)
+            (Vp_aggregate.Wire.validate_file ~path) );
+      ("vp-retire-trace/1", counted "events" Vp_gen.Trace.validate_file);
+      ("vp-metrics-snapshot/1", counted "lines" Vp_obs.Snapshot.validate_file);
+      ("vp-perfetto-trace/1", counted "events" Vp_obs.Perfetto.validate_file);
+    ]
+  in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  match
+    let ic = open_in_bin file in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        (in_channel_length ic, try input_line ic with End_of_file -> ""))
+  with
+  | exception Sys_error e -> Error (Printf.sprintf "%s: cannot read: %s" file e)
+  | 0, _ -> Error (Printf.sprintf "%s: invalid trace: empty trace (0 bytes)" file)
+  | _, first -> (
+    match List.find_opt (fun (tag, _) -> contains first tag) validators with
+    | None -> Error (Printf.sprintf "%s: unknown schema" file)
+    | Some (schema, validate) -> (
+      match validate file with
+      | Ok detail -> Ok (Printf.sprintf "%s: valid %s, %s" file schema detail)
+      | Error e -> Error (Printf.sprintf "%s: invalid %s: %s" file schema e)))
+
 let trace_check_cmd =
   Spec.cmd ~name:"trace-check"
     ~doc:
-      "Validate a trace file against its schema (vp-obs-trace/1, \
-       vp-timeline-trace/1, vp-profile-wire/1, vp-retire-trace/1, \
-       vp-metrics-snapshot/1 or vp-perfetto-trace/1, detected from the \
-       first line); failures name the schema and the offending line."
+      "Validate a trace file against its schema (vp-timeline-trace/1, \
+       vp-profile-wire/1, vp-retire-trace/1, vp-metrics-snapshot/1 or \
+       vp-perfetto-trace/1, detected from the first line); failures name \
+       the schema and the offending line."
+    ~exits:
+      [
+        (0, "the file is valid");
+        (1, "invalid, unreadable, empty, or of no known schema");
+        (2, "command-line error");
+      ]
     ~positional:
       {
         Spec.pos_docv = "FILE";
@@ -943,76 +973,10 @@ let trace_check_cmd =
       }
     ~flags:[]
     (fun m ->
-      let file = List.hd (Spec.positional m) in
-      (* One dispatch table over every schema vpack emits, sniffed from
-         the meta line; unmatched files fall through to vp-obs-trace/1
-         (the only schema whose meta line is per-record).  Success and
-         failure messages are uniform across schemas. *)
-      let validators =
-        [
-          ( "vp-timeline-trace/1",
-            fun path ->
-              Result.map
-                (Printf.sprintf "%d lines")
-                (Vp_telemetry.Sink.validate_file ~path) );
-          ( "vp-profile-wire/1",
-            fun path ->
-              Result.map
-                (fun (runs, snapshots) ->
-                  Printf.sprintf "%d runs, %d snapshots" runs snapshots)
-                (Vp_aggregate.Wire.validate_file ~path) );
-          ( "vp-retire-trace/1",
-            fun path ->
-              Result.map
-                (Printf.sprintf "%d events")
-                (Vp_gen.Trace.validate_file ~path) );
-          ( "vp-metrics-snapshot/1",
-            fun path ->
-              Result.map
-                (Printf.sprintf "%d lines")
-                (Vp_metrics.Snapshot.validate_file ~path) );
-          ( "vp-perfetto-trace/1",
-            fun path ->
-              Result.map
-                (Printf.sprintf "%d events")
-                (Vp_metrics.Perfetto.validate_file ~path) );
-          ( "vp-obs-trace/1",
-            fun path ->
-              Result.map
-                (Printf.sprintf "%d lines")
-                (Vp_obs.Sink.validate_file ~path) );
-        ]
-      in
-      (* A zero-byte file matches no schema and would otherwise fall
-         through to the vp-obs-trace/1 parser's own complaint; report
-         it for what it is. *)
-      let size, first =
-        let ic = open_in_bin file in
-        let n = in_channel_length ic in
-        let l = try input_line ic with End_of_file -> "" in
-        close_in ic;
-        (n, l)
-      in
-      if size = 0 then begin
-        Printf.eprintf "%s: invalid trace: empty trace (0 bytes)\n" file;
-        exit 1
-      end;
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i =
-          i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-        in
-        go 0
-      in
-      let schema, validate =
-        match List.find_opt (fun (tag, _) -> contains first tag) validators with
-        | Some v -> v
-        | None -> List.nth validators (List.length validators - 1)
-      in
-      match validate file with
-      | Ok detail -> Printf.printf "%s: valid %s, %s\n" file schema detail
-      | Error e ->
-        Printf.eprintf "%s: invalid %s: %s\n" file schema e;
+      match check_trace (List.hd (Spec.positional m)) with
+      | Ok report -> print_endline report
+      | Error report ->
+        prerr_endline report;
         exit 1)
 
 (* --- top --- *)
@@ -1061,7 +1025,7 @@ let top_cmd =
         String.length name >= 13 && String.sub name 0 13 = "session_cache"
       in
       let frame () =
-        match Vp_metrics.Snapshot.read ~path:file with
+        match Vp_obs.Snapshot.read ~path:file with
         | Error e ->
           Printf.eprintf "%s: invalid vp-metrics-snapshot/1: %s\n" file e;
           exit 1
@@ -1071,9 +1035,9 @@ let top_cmd =
             List.fold_left
               (fun (cs, gs, hs) (name, sample) ->
                 match sample with
-                | Vp_metrics.Snapshot.Counter v -> ((name, v) :: cs, gs, hs)
-                | Vp_metrics.Snapshot.Gauge v -> (cs, (name, v) :: gs, hs)
-                | Vp_metrics.Snapshot.Hist h -> (cs, gs, (name, h) :: hs))
+                | Vp_obs.Snapshot.Counter v -> ((name, v) :: cs, gs, hs)
+                | Vp_obs.Snapshot.Gauge v -> (cs, (name, v) :: gs, hs)
+                | Vp_obs.Snapshot.Hist h -> (cs, gs, (name, h) :: hs))
               ([], [], []) samples
           in
           let counters = List.rev counters
@@ -1107,15 +1071,15 @@ let top_cmd =
             List.iter
               (fun (n, h) ->
                 let buckets =
-                  Array.init Vp_metrics.Hist.buckets
-                    (Vp_metrics.Hist.bucket_count h)
+                  Array.init Vp_obs.Hist.buckets
+                    (Vp_obs.Hist.bucket_count h)
                 in
                 Printf.printf "%-28s|%s| n=%d sum=%d p50=%d p90=%d p99=%d\n" n
-                  (Vp_telemetry.Render.sparkline ~width buckets)
-                  (Vp_metrics.Hist.count h) (Vp_metrics.Hist.sum h)
-                  (Vp_metrics.Hist.quantile h 0.5)
-                  (Vp_metrics.Hist.quantile h 0.9)
-                  (Vp_metrics.Hist.quantile h 0.99))
+                  (Vp_obs.Render.sparkline ~width buckets)
+                  (Vp_obs.Hist.count h) (Vp_obs.Hist.sum h)
+                  (Vp_obs.Hist.quantile h 0.5)
+                  (Vp_obs.Hist.quantile h 0.9)
+                  (Vp_obs.Hist.quantile h 0.99))
               hists
           end
       in

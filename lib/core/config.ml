@@ -29,8 +29,6 @@ type t = {
   mem_words : int;
   fuel : int;
   obs : Vp_obs.t;
-  metrics : Vp_metrics.t;
-  telemetry : Vp_telemetry.config;
   fault : Vp_fault.Plan.t option;
   degrade : bool;
   session : session;
@@ -41,9 +39,8 @@ let v ?(detector = Vp_hsd.Config.default) ?(history_size = 0)
     ?(identify = Vp_region.Identify.default) ?(linking = true)
     ?(opt = Vp_opt.Opt.default) ?(cpu = Vp_cpu.Config.default)
     ?(backend = Vp_exec.Emulator.Decoded) ?(mem_words = 1 lsl 20)
-    ?(fuel = 200_000_000) ?(obs = Vp_obs.disabled)
-    ?(metrics = Vp_metrics.disabled) ?(telemetry = Vp_telemetry.off) ?fault
-    ?(degrade = true) ?(session = default_session) () =
+    ?(fuel = 200_000_000) ?(obs = Vp_obs.disabled) ?fault ?(degrade = true)
+    ?(session = default_session) () =
   {
     detector;
     history_size;
@@ -56,8 +53,6 @@ let v ?(detector = Vp_hsd.Config.default) ?(history_size = 0)
     mem_words;
     fuel;
     obs;
-    metrics;
-    telemetry;
     fault;
     degrade;
     session;
@@ -93,8 +88,6 @@ let backend t = t.backend
 let mem_words t = t.mem_words
 let fuel t = t.fuel
 let obs t = t.obs
-let metrics t = t.metrics
-let telemetry t = t.telemetry
 let fault t = t.fault
 let degrade t = t.degrade
 let session t = t.session
@@ -109,8 +102,6 @@ let with_backend backend t = { t with backend }
 let with_mem_words mem_words t = { t with mem_words }
 let with_fuel fuel t = { t with fuel }
 let with_obs obs t = { t with obs }
-let with_metrics metrics t = { t with metrics }
-let with_telemetry telemetry t = { t with telemetry }
 let with_fault fault t = { t with fault = Some fault }
 let without_fault t = { t with fault = None }
 let with_degrade degrade t = { t with degrade }
@@ -218,13 +209,12 @@ let json_of_t t =
       ("backend", J_str (Vp_exec.Emulator.backend_name t.backend));
       ("mem_words", J_int t.mem_words);
       ("fuel", J_int t.fuel);
-      ("obs", J_bool (Vp_obs.enabled t.obs));
-      ("metrics", J_bool (Vp_metrics.enabled t.metrics));
-      ( "telemetry",
+      ( "obs",
         J_obj
           [
-            ("enabled", J_bool t.telemetry.Vp_telemetry.enabled);
-            ("interval", J_int t.telemetry.Vp_telemetry.interval);
+            ("enabled", J_bool (Vp_obs.enabled t.obs));
+            ( "interval",
+              J_int (Option.value ~default:0 (Vp_obs.interval t.obs)) );
           ] );
       ( "fault",
         match t.fault with

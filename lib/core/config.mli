@@ -49,8 +49,6 @@ val v :
   ?mem_words:int ->
   ?fuel:int ->
   ?obs:Vp_obs.t ->
-  ?metrics:Vp_metrics.t ->
-  ?telemetry:Vp_telemetry.config ->
   ?fault:Vp_fault.Plan.t ->
   ?degrade:bool ->
   ?session:session ->
@@ -99,22 +97,13 @@ val mem_words : t -> int
 val fuel : t -> int
 
 val obs : t -> Vp_obs.t
-(** The observability recorder the pipeline reports through;
-    {!Vp_obs.disabled} by default. *)
-
-val metrics : t -> Vp_metrics.t
-(** The aggregated metrics registry (counters, gauges, histograms)
-    the pipeline reports through; {!Vp_metrics.disabled} by
-    default.  Like {!obs} this is a shared recorder; its {e stable}
-    snapshot is byte-identical across [--jobs], shards and
-    backends. *)
-
-val telemetry : t -> Vp_telemetry.config
-(** The run-time telemetry sampling configuration ({!Vp_telemetry.off}
-    by default).  Unlike {!obs} this is a {e configuration}, not a
-    shared recorder: each run (profiling, coverage, timing) creates
-    its own per-run {!Vp_telemetry.t} from it, so timelines stay
-    deterministic under any [Vacuum.Engine] schedule. *)
+(** The observability recorder the pipeline reports through
+    ({!Vp_obs.disabled} by default): spans, counters, histograms and
+    flight marks go into this one shared recorder, and every run
+    (profiling, coverage, timing, session epoch) creates its own
+    per-run {!Vp_obs.Timeline} from it, so timelines stay deterministic
+    under any [Vacuum.Engine] schedule.  Its {e stable} snapshot is
+    byte-identical across [--jobs], shards and backends. *)
 
 val fault : t -> Vp_fault.Plan.t option
 (** The fault plan injected at the hardware→software boundary; [None]
@@ -144,8 +133,6 @@ val with_backend : Vp_exec.Emulator.backend -> t -> t
 val with_mem_words : int -> t -> t
 val with_fuel : int -> t -> t
 val with_obs : Vp_obs.t -> t -> t
-val with_metrics : Vp_metrics.t -> t -> t
-val with_telemetry : Vp_telemetry.config -> t -> t
 val with_fault : Vp_fault.Plan.t -> t -> t
 val without_fault : t -> t
 val with_degrade : bool -> t -> t

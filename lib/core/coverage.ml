@@ -1,11 +1,12 @@
 module Emulator = Vp_exec.Emulator
 module Image = Vp_prog.Image
+module Timeline = Vp_obs.Timeline
 
 type t = {
   coverage_pct : float;
   outcome : Emulator.outcome;
   equivalent : bool;
-  residency : Vp_telemetry.t;
+  residency : Timeline.t;
 }
 
 (* pc -> residency lane.  Lane 0 is the original program; lane k > 0
@@ -38,27 +39,27 @@ let measure ?(config = Config.default) (r : Driver.rewrite) =
   (* Per-run residency timeline: which address range (original code or
      which emitted package) retired each interval's instructions, plus
      the migration events between them. *)
-  let tl = Vp_telemetry.create (Config.telemetry config) in
+  let tl = Timeline.create obs in
   let on_retire, tail_flush =
-    if not (Vp_telemetry.enabled tl) then (None, fun () -> ())
+    if not (Timeline.enabled tl) then (None, fun () -> ())
     else begin
       let lane_of, lane_names = lanes_of_image image in
       let lanes = Array.length lane_names in
       let series =
         Array.init lanes (fun k ->
-            Vp_telemetry.Series.register tl
+            Timeline.Series.register tl
               (Printf.sprintf "run.%s.instructions" lane_names.(k)))
       in
-      let s_instr = Vp_telemetry.Series.register tl "run.instructions" in
+      let s_instr = Timeline.Series.register tl "run.instructions" in
       let counts = Array.make lanes 0 in
-      let interval = Vp_telemetry.interval_length tl in
+      let interval = Timeline.interval_length tl in
       let countdown = ref interval in
       let retired = ref 0 in
       let cur_lane = ref 0 in
       let flush n =
-        Vp_telemetry.Series.push tl s_instr n;
+        Timeline.Series.push tl s_instr n;
         for k = 0 to lanes - 1 do
-          Vp_telemetry.Series.push tl series.(k) counts.(k);
+          Timeline.Series.push tl series.(k) counts.(k);
           counts.(k) <- 0
         done
       in
@@ -74,7 +75,7 @@ let measure ?(config = Config.default) (r : Driver.rewrite) =
                 else "migrate"
               in
               let value = if lane = 0 then !cur_lane else lane in
-              Vp_telemetry.Event.emit tl ~kind ~at:!retired ~value;
+              Timeline.Event.emit tl ~kind ~at:!retired ~value;
               cur_lane := lane
             end;
             decr countdown;

@@ -7,7 +7,7 @@ type t = {
   coverage_pct : float;
   outcome : Vp_exec.Emulator.outcome;  (** the rewritten run *)
   equivalent : bool;  (** checksum and result match the original *)
-  residency : Vp_telemetry.t;
+  residency : Vp_obs.Timeline.t;
       (** per-run address-range attribution of the rewritten run:
           series [run.instructions], [run.orig.instructions], and one
           [run.<package-symbol>.instructions] per emitted package,
@@ -16,8 +16,8 @@ type t = {
           with the retired-instruction index.  Summing a package lane
           over all intervals reproduces that package's share of
           [outcome.package_instructions] — the Figure 8 numerator.
-          {!Vp_telemetry.disabled} unless the configuration enables
-          telemetry. *)
+          {!Vp_obs.Timeline.disabled} unless the configuration's
+          recorder has a sampling interval. *)
 }
 
 val measure : ?config:Config.t -> Driver.rewrite -> t

@@ -9,6 +9,8 @@ module Pkg = Vp_package.Pkg
 module Verify = Vp_package.Verify
 module Span = Vp_obs.Span
 module Counter = Vp_obs.Counter
+module Flight = Vp_obs.Flight
+module Timeline = Vp_obs.Timeline
 
 let src = Logs.Src.create "vacuum.driver" ~doc:"Vacuum pipeline driver"
 
@@ -22,7 +24,7 @@ type profile = {
   aggregate : Vp_exec.Branch_profile.t;
   detections : int;
   truncated : bool;
-  timeline : Vp_telemetry.t;
+  timeline : Timeline.t;
   warnings : Error.t list;
 }
 
@@ -60,8 +62,8 @@ let pp_demotion ppf d =
 let finish_profile ~config ~image ~fuel ~outcome ~detector ~executed ~takens
     ~timeline ~extra_warnings =
   let obs = Config.obs config in
-  Vp_metrics.Histogram.observe (Config.metrics config)
-    "driver.profile.instructions" outcome.Emulator.instructions;
+  Vp_obs.Histogram.observe obs "driver.profile.instructions"
+    outcome.Emulator.instructions;
   let aggregate = Vp_exec.Branch_profile.of_counts ~executed ~takens in
   let plan = Config.fault config in
   let snapshots = Detector.snapshots detector in
@@ -134,36 +136,36 @@ let profile ?(config = Config.default) image =
   in
   (* Per-run timeline: created fresh for this profile run so traces
      are deterministic regardless of how Engine schedules runs across
-     domains.  When telemetry is off this is the shared [disabled]
+     domains.  Without a sampling interval this is the shared [disabled]
      value and the emulator receives no [on_retire] sink at all. *)
-  let tl = Vp_telemetry.create (Config.telemetry config) in
+  let tl = Timeline.create obs in
   let on_retire, tail_flush =
-    if not (Vp_telemetry.enabled tl) then (None, fun () -> ())
+    if not (Timeline.enabled tl) then (None, fun () -> ())
     else begin
-      let s_instr = Vp_telemetry.Series.register tl "profile.instructions" in
-      let s_branch = Vp_telemetry.Series.register tl "profile.branches" in
-      let s_hdc = Vp_telemetry.Series.register tl "profile.hdc" in
-      let s_occ = Vp_telemetry.Series.register tl "profile.bbb_occupancy" in
-      let s_cand = Vp_telemetry.Series.register tl "profile.bbb_candidates" in
+      let s_instr = Timeline.Series.register tl "profile.instructions" in
+      let s_branch = Timeline.Series.register tl "profile.branches" in
+      let s_hdc = Timeline.Series.register tl "profile.hdc" in
+      let s_occ = Timeline.Series.register tl "profile.bbb_occupancy" in
+      let s_cand = Timeline.Series.register tl "profile.bbb_candidates" in
       Detector.set_hooks detector
         ~on_detect:(fun ~branches ~detections ->
-          Vp_telemetry.Event.emit tl ~kind:"detect" ~at:branches
+          Timeline.Event.emit tl ~kind:"detect" ~at:branches
             ~value:detections)
         ~on_record:(fun ~branches ~id ->
-          Vp_telemetry.Event.emit tl ~kind:"record" ~at:branches ~value:id)
+          Timeline.Event.emit tl ~kind:"record" ~at:branches ~value:id)
         ~on_rearm:(fun ~branches ~rearms ->
-          Vp_telemetry.Event.emit tl ~kind:"rearm" ~at:branches ~value:rearms);
-      let interval = Vp_telemetry.interval_length tl in
+          Timeline.Event.emit tl ~kind:"rearm" ~at:branches ~value:rearms);
+      let interval = Timeline.interval_length tl in
       let countdown = ref interval in
       let last_branches = ref 0 in
       let flush n =
-        Vp_telemetry.Series.push tl s_instr n;
+        Timeline.Series.push tl s_instr n;
         let b = Detector.branches_seen detector in
-        Vp_telemetry.Series.push tl s_branch (b - !last_branches);
+        Timeline.Series.push tl s_branch (b - !last_branches);
         last_branches := b;
-        Vp_telemetry.Series.push tl s_hdc (Detector.hdc_value detector);
-        Vp_telemetry.Series.push tl s_occ (Detector.bbb_occupancy detector);
-        Vp_telemetry.Series.push tl s_cand (Detector.bbb_candidates detector)
+        Timeline.Series.push tl s_hdc (Detector.hdc_value detector);
+        Timeline.Series.push tl s_occ (Detector.bbb_occupancy detector);
+        Timeline.Series.push tl s_cand (Detector.bbb_candidates detector)
       in
       ( Some
           (fun ~pc:_ ~taken:_ ~next_pc:_ ~mem_addr:_ ->
@@ -231,7 +233,7 @@ let profile_of_events ?(config = Config.default) ?(instructions = 0) image
     Detector.create ~config:(Config.detector config)
       ~history_size:(Config.history_size config) ~same ()
   in
-  let tl = Vp_telemetry.create (Config.telemetry config) in
+  let tl = Timeline.create obs in
   let n = Vp_prog.Image.size image in
   let executed = Array.make n 0 in
   let takens = Array.make n 0 in
@@ -280,16 +282,14 @@ let profile_of_events ?(config = Config.default) ?(instructions = 0) image
    last resort every package, leaving the image unmodified.  A
    demoted result is always still a sound result. *)
 
-let make_demoter ~obs ~metrics =
+let make_demoter obs =
   let demotions = ref [] in
   let demote rung error =
     demotions := { rung; error } :: !demotions;
-    Counter.bump obs ("degrade." ^ rung_name rung) 1;
-    Vp_metrics.Counter.bump metrics ("demote." ^ rung_name rung) 1;
-    Vp_metrics.Flight.note metrics ~kind:"demote" ~label:(rung_name rung);
+    Counter.bump obs ("demote." ^ rung_name rung) 1;
+    Flight.note obs ~kind:"demote" ~label:(rung_name rung);
     if rung = Fallback_image then
-      Vp_metrics.Flight.dump metrics ~obs ~reason:"fallback-image"
-        ~label:"driver" ();
+      Flight.dump obs ~reason:"fallback-image" ~label:"driver" ();
     Log.warn (fun m -> m "%a" pp_demotion { rung; error })
   in
   (demotions, demote)
@@ -457,11 +457,8 @@ let assemble_parts ~config ~demote ~on_screened ~original packages =
       if Verify.ok report then (emitted, report)
       else begin
         Counter.bump obs "verify.rejections" 1;
-        let metrics = Config.metrics config in
-        Vp_metrics.Counter.bump metrics "verify.rejections" 1;
-        Vp_metrics.Flight.note metrics ~kind:"verify" ~label:"rejection";
-        Vp_metrics.Flight.dump metrics ~obs ~reason:"verifier-rejection"
-          ~label:"driver" ();
+        Flight.note obs ~kind:"verify" ~label:"rejection";
+        Flight.dump obs ~reason:"verifier-rejection" ~label:"driver" ();
         let first = List.hd report.Verify.violations in
         let e =
           Error.v ~stage:"verify" ?label:first.Verify.label
@@ -508,9 +505,7 @@ type assembly = {
 }
 
 let assemble ?(config = Config.default) ~original packages =
-  let demotions, demote =
-    make_demoter ~obs:(Config.obs config) ~metrics:(Config.metrics config)
-  in
+  let demotions, demote = make_demoter (Config.obs config) in
   let survivors, assembled, checks =
     assemble_parts ~config ~demote ~on_screened:ignore ~original packages
   in
@@ -519,9 +514,7 @@ let assemble ?(config = Config.default) ~original packages =
 let rewrite_of_profile ?(config = Config.default) source =
   let obs = Config.obs config in
   let degrade = Config.degrade config in
-  let demotions, demote =
-    make_demoter ~obs ~metrics:(Config.metrics config)
-  in
+  let demotions, demote = make_demoter obs in
   let wrap stage f = wrap_stage ~degrade stage f in
   let regions =
     Span.record obs "regions" ~work:(List.length) @@ fun () ->

@@ -16,7 +16,7 @@
     exceptions — the pipeline walks the demotion ladder instead
     ({!Drop_package} → {!Drop_region} → {!Fallback_image}), and every
     step taken is recorded in {!rewrite.demotions} and the
-    [degrade.*] observability counters.  Every emitted image is
+    [demote.*] observability counters.  Every emitted image is
     checked by {!Vp_package.Verify} before it is handed to anything
     that simulates it. *)
 
@@ -34,14 +34,15 @@ type profile = {
           [Logs] warning is emitted, a structured warning is appended
           to {!profile.warnings}, and the [profile.truncated] counter
           is bumped when this is set. *)
-  timeline : Vp_telemetry.t;
+  timeline : Vp_obs.Timeline.t;
       (** per-run interval time-series of the profiling run
           ([profile.instructions], [profile.branches], [profile.hdc],
           [profile.bbb_occupancy], [profile.bbb_candidates] plus
           [detect]/[record]/[rearm] events, all in retired-branch
-          stamps).  {!Vp_telemetry.disabled} unless the configuration
-          enables telemetry; owned by this profile, so results stay
-          byte-identical under any [Engine] schedule. *)
+          stamps).  {!Vp_obs.Timeline.disabled} unless the
+          configuration's recorder has a sampling interval; owned by
+          this profile, so results stay byte-identical under any
+          [Engine] schedule. *)
   warnings : Error.t list;
       (** structured degradation warnings (truncation, an active fault
           plan) — the payloads [vpack stats] and {!Report} surface *)

@@ -18,7 +18,6 @@ type metric = {
 type t = {
   jobs : int;
   profile_config : Config.t;
-  obs : Vp_obs.t;
   lock : Mutex.t;
   images : (string, Vp_prog.Image.t) Hashtbl.t;
   profiles : (string, Driver.profile) Hashtbl.t;
@@ -35,12 +34,11 @@ type t = {
   mutable dag_wall_s : float;
 }
 
-let create ?(jobs = Pool.default_jobs ()) ?(profile_config = Config.default)
-    ?(obs = Vp_obs.disabled) () =
+let create ?(jobs = Pool.default_jobs ()) ?(profile_config = Config.default) ()
+    =
   {
     jobs = Stdlib.max 1 jobs;
     profile_config;
-    obs;
     lock = Mutex.create ();
     images = Hashtbl.create 32;
     profiles = Hashtbl.create 32;
@@ -87,9 +85,9 @@ let memo t table ~kind ~label ~instructions key compute =
     let v = compute () in
     let wall_s = now () -. t0 in
     let work = instructions v in
-    Vp_obs.Span.note t.obs (kind ^ ":" ^ label) ~wall_s ~work;
-    Vp_metrics.Histogram.observe ~volatile:true
-      (Config.metrics t.profile_config) "engine.task.wall_us"
+    let obs = Config.obs t.profile_config in
+    Vp_obs.Span.note obs (kind ^ ":" ^ label) ~wall_s ~work;
+    Vp_obs.Histogram.observe ~volatile:true obs "engine.task.wall_us"
       (int_of_float (wall_s *. 1e6));
     locked t (fun () ->
         Hashtbl.replace table key v;
@@ -200,11 +198,8 @@ let run ?(rewrites = true) ?(timing = false) t ~specs ~cells () =
     try f ()
     with e -> locked t (fun () -> errors := (label, e) :: !errors)
   in
-  let pool =
-    Pool.create ~jobs:t.jobs
-      ?hooks:(Vp_metrics.Sched.hooks (Config.metrics t.profile_config))
-      ()
-  in
+  let obs = Config.obs t.profile_config in
+  let pool = Pool.create ~jobs:t.jobs ?hooks:(Vp_obs.Sched.hooks obs) () in
   List.iter
     (fun spec ->
       Pool.submit pool
@@ -241,11 +236,8 @@ let run ?(rewrites = true) ?(timing = false) t ~specs ~cells () =
   Pool.shutdown pool;
   t.dag_wall_s <- t.dag_wall_s +. (now () -. t0);
   let hits1, misses1 = locked t (fun () -> (t.hits, t.misses)) in
-  Vp_obs.Counter.bump t.obs "engine.memo_hits" (hits1 - hits0);
-  Vp_obs.Counter.bump t.obs "engine.memo_misses" (misses1 - misses0);
-  let metrics = Config.metrics t.profile_config in
-  Vp_metrics.Counter.bump metrics "engine.memo_hits" (hits1 - hits0);
-  Vp_metrics.Counter.bump metrics "engine.memo_misses" (misses1 - misses0);
+  Vp_obs.Counter.bump obs "engine.memo_hits" (hits1 - hits0);
+  Vp_obs.Counter.bump obs "engine.memo_misses" (misses1 - misses0);
   (* Deterministic error surfacing: re-raise the failure with the
      lexicographically first task label, whatever the schedule was. *)
   match List.sort compare !errors with

@@ -69,19 +69,19 @@ let digest_classes classes =
 let aggregate ?(config = Config.default) ?shards ?jobs ~base wire_runs =
   let counter_max = Config.counter_max config in
   let classify = classifier ~config base in
-  let metrics = Config.metrics config in
-  let wall0 = if Vp_metrics.enabled metrics then Unix.gettimeofday () else 0.0 in
+  let obs = Config.obs config in
+  let wall0 = if Vp_obs.enabled obs then Unix.gettimeofday () else 0.0 in
   let classes, stats =
     Shard.aggregate_classes ?shards ?jobs ~counter_max ~classify wire_runs
   in
   (* Stable merge totals are shard/job-invariant; throughput is wall
      clock, hence a (volatile) gauge. *)
-  Vp_metrics.Counter.bump metrics "aggregate.runs" stats.Shard.runs;
-  Vp_metrics.Counter.bump metrics "aggregate.snapshots" stats.Shard.snapshots;
-  Vp_metrics.Counter.bump metrics "aggregate.classified" stats.Shard.classified;
-  if Vp_metrics.enabled metrics then begin
+  Vp_obs.Counter.bump obs "aggregate.runs" stats.Shard.runs;
+  Vp_obs.Counter.bump obs "aggregate.snapshots" stats.Shard.snapshots;
+  Vp_obs.Counter.bump obs "aggregate.classified" stats.Shard.classified;
+  if Vp_obs.enabled obs then begin
     let dt = Unix.gettimeofday () -. wall0 in
-    Vp_metrics.Gauge.set metrics "aggregate.snapshots_per_sec"
+    Vp_obs.Gauge.set obs "aggregate.snapshots_per_sec"
       (int_of_float (float_of_int stats.Shard.snapshots /. Float.max dt 1e-9))
   end;
   Log.debug (fun m ->

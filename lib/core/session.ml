@@ -12,6 +12,8 @@ module Emit = Vp_package.Emit
 module Verify = Vp_package.Verify
 module Image = Vp_prog.Image
 module Counter = Vp_obs.Counter
+module Flight = Vp_obs.Flight
+module Timeline = Vp_obs.Timeline
 
 let src = Logs.Src.create "vacuum.session" ~doc:"Vacuum online session"
 
@@ -55,7 +57,7 @@ type epoch_report = {
   oracle_ok : bool option;
   drops : Driver.demotion list;
   coverage_pct : float;
-  timeline : Vp_telemetry.t;
+  timeline : Timeline.t;
 }
 
 type report = {
@@ -186,21 +188,14 @@ let step t =
     Error.failf ~stage:"session" "step: the session's program has halted";
   let config = t.config in
   let obs = Config.obs config in
-  let metrics = Config.metrics config in
   let session_cfg = Config.session config in
   let backend = Config.backend config in
   let fuel = epoch_fuel t in
   let epoch = t.epoch in
-  (* Wall clock is volatile-only; never read when metrics are off so
-     the disabled path stays branch-and-return. *)
-  let wall0 =
-    if Vp_metrics.enabled metrics then Unix.gettimeofday () else 0.0
-  in
-  let tl =
-    Vp_telemetry.create
-      ~name:(Printf.sprintf "epoch-%d" epoch)
-      (Config.telemetry config)
-  in
+  (* Wall clock is volatile-only; never read when the recorder is off
+     so the disabled path stays branch-and-return. *)
+  let wall0 = if Vp_obs.enabled obs then Unix.gettimeofday () else 0.0 in
+  let tl = Timeline.create ~name:(Printf.sprintf "epoch-%d" epoch) obs in
   let same = Similarity.same ~config:(Config.similarity config) in
   let detector =
     Detector.create ~config:(Config.detector config)
@@ -227,24 +222,24 @@ let step t =
     if opc >= 0 then Detector.on_branch detector ~pc:opc ~taken
   in
   let need_depth = ol < Image.size t.image in
-  let telemetry_on = Vp_telemetry.enabled tl in
-  let s_instr = Vp_telemetry.Series.register tl "session.instructions" in
-  let s_branch = Vp_telemetry.Series.register tl "session.branches" in
-  let s_pkg = Vp_telemetry.Series.register tl "session.package_instructions" in
-  let interval = Vp_telemetry.interval_length tl in
+  let timeline_on = Timeline.enabled tl in
+  let s_instr = Timeline.Series.register tl "session.instructions" in
+  let s_branch = Timeline.Series.register tl "session.branches" in
+  let s_pkg = Timeline.Series.register tl "session.package_instructions" in
+  let interval = Timeline.interval_length tl in
   let countdown = ref interval in
   let last_branches = ref 0 in
   let pkg_now = ref 0 in
   let last_pkg = ref 0 in
   let flush n =
-    Vp_telemetry.Series.push tl s_instr n;
-    Vp_telemetry.Series.push tl s_branch (!epoch_branches - !last_branches);
+    Timeline.Series.push tl s_instr n;
+    Timeline.Series.push tl s_branch (!epoch_branches - !last_branches);
     last_branches := !epoch_branches;
-    Vp_telemetry.Series.push tl s_pkg (!pkg_now - !last_pkg);
+    Timeline.Series.push tl s_pkg (!pkg_now - !last_pkg);
     last_pkg := !pkg_now
   in
   let on_retire =
-    if not (need_depth || telemetry_on) then None
+    if not (need_depth || timeline_on) then None
     else
       Some
         (fun ~pc ~taken:_ ~next_pc ~mem_addr:_ ->
@@ -255,7 +250,7 @@ let step t =
             else if next_pc >= ol && tag.(pc) = 9 (* Ret *) then
               t.depth <- t.depth - 1
           end;
-          if telemetry_on then begin
+          if timeline_on then begin
             if pc >= ol then incr pkg_now;
             decr countdown;
             if !countdown = 0 then begin
@@ -308,7 +303,7 @@ let step t =
       | Some e ->
         e.hits <- e.hits + 1;
         e.last_seen <- epoch;
-        Vp_metrics.Counter.bump metrics "session.cache.hits" 1;
+        Counter.bump obs "session.cache.hits" 1;
         if not (List.mem e.id !matched) then matched := e.id :: !matched;
         Hashtbl.replace extent_credit e.id
           (Phase_log.extent phase
@@ -317,10 +312,8 @@ let step t =
         let id = t.next_id in
         t.next_id <- id + 1;
         Counter.bump obs "session.drifts" 1;
-        Vp_metrics.Counter.bump metrics "session.drifts" 1;
-        Vp_metrics.Flight.note metrics ~kind:"drift"
-          ~label:(string_of_int id);
-        Vp_telemetry.Event.emit tl ~kind:"drift" ~at:t.retired ~value:id;
+        Flight.note obs ~kind:"drift" ~label:(string_of_int id);
+        Timeline.Event.emit tl ~kind:"drift" ~at:t.retired ~value:id;
         let build_packages () =
           let region, _stats =
             Identify.identify_with_stats ~config:(Config.identify config)
@@ -354,8 +347,7 @@ let step t =
             born = epoch;
           }
         in
-        if e.rejected then
-          Vp_metrics.Counter.bump metrics "session.cache.tombstones" 1;
+        if e.rejected then Counter.bump obs "session.cache.tombstones" 1;
         t.cache <- t.cache @ [ e ];
         fresh := id :: !fresh;
         t.dirty <- true)
@@ -405,11 +397,9 @@ let step t =
         in
         t.cache <- List.filter (fun e -> e.id <> victim.id) t.cache;
         evicted := victim.id :: !evicted;
-        Counter.bump obs "session.evictions" 1;
-        Vp_metrics.Counter.bump metrics "session.cache.evictions" 1;
-        Vp_metrics.Flight.note metrics ~kind:"evict"
-          ~label:(string_of_int victim.id);
-        Vp_telemetry.Event.emit tl ~kind:"evict" ~at:t.retired ~value:victim.id;
+        Counter.bump obs "session.cache.evictions" 1;
+        Flight.note obs ~kind:"evict" ~label:(string_of_int victim.id);
+        Timeline.Event.emit tl ~kind:"evict" ~at:t.retired ~value:victim.id;
         t.dirty <- true;
         evict ()
     end
@@ -459,7 +449,7 @@ let step t =
             e.packages <- kept;
             if kept = [] then begin
               e.rejected <- true;
-              Vp_metrics.Counter.bump metrics "session.cache.tombstones" 1
+              Counter.bump obs "session.cache.tombstones" 1
             end
           end
         end)
@@ -486,9 +476,8 @@ let step t =
         oracle_ok := Some ok;
         if not ok then begin
           Counter.bump obs "session.oracle_failures" 1;
-          Vp_metrics.Counter.bump metrics "session.oracle_failures" 1;
-          Vp_metrics.Flight.note metrics ~kind:"oracle" ~label:"failure";
-          Vp_metrics.Flight.dump metrics ~obs ~reason:"oracle-failure"
+          Flight.note obs ~kind:"oracle" ~label:"failure";
+          Flight.dump obs ~reason:"oracle-failure"
             ~label:(Printf.sprintf "epoch-%d" epoch) ()
         end;
         ok
@@ -519,18 +508,16 @@ let step t =
         t.dirty <- false;
         activated := true;
         Counter.bump obs "session.activations" 1;
-        Vp_metrics.Counter.bump metrics "session.activations" 1;
-        Vp_telemetry.Event.emit tl ~kind:"activate" ~at:t.retired ~value:epoch
+        Timeline.Event.emit tl ~kind:"activate" ~at:t.retired ~value:epoch
       end
       else begin
         deferred := true;
         Counter.bump obs "session.deferrals" 1;
-        Vp_metrics.Counter.bump metrics "session.deferrals" 1;
-        Vp_telemetry.Event.emit tl ~kind:"defer" ~at:t.retired ~value:t.depth
+        Timeline.Event.emit tl ~kind:"defer" ~at:t.retired ~value:t.depth
       end
     end
   end;
-  if telemetry_on then begin
+  if timeline_on then begin
     let tail = interval - !countdown in
     if tail > 0 then flush tail
   end;
@@ -542,17 +529,13 @@ let step t =
     else 100.0 *. float_of_int total_pkg /. float_of_int total_instr
   in
   (* Stable per-epoch distributions (schedule-independent values). *)
-  Vp_metrics.Histogram.observe metrics "session.epoch.instructions"
-    total_instr;
-  Vp_metrics.Histogram.observe metrics "session.grace.instructions"
-    !grace_used;
-  Vp_metrics.Histogram.observe metrics "session.cache.entries"
-    (List.length t.cache);
-  Vp_metrics.Histogram.observe metrics "session.cache.instructions"
+  Vp_obs.Histogram.observe obs "session.epoch.instructions" total_instr;
+  Vp_obs.Histogram.observe obs "session.grace.instructions" !grace_used;
+  Vp_obs.Histogram.observe obs "session.cache.entries" (List.length t.cache);
+  Vp_obs.Histogram.observe obs "session.cache.instructions"
     (total_cache_size t.cache);
-  if Vp_metrics.enabled metrics then
-    Vp_metrics.Histogram.observe ~volatile:true metrics
-      "session.epoch.wall_us"
+  if Vp_obs.enabled obs then
+    Vp_obs.Histogram.observe ~volatile:true obs "session.epoch.wall_us"
       (int_of_float ((Unix.gettimeofday () -. wall0) *. 1e6));
   let r =
     {

@@ -54,7 +54,7 @@ type epoch_report = {
   oracle_ok : bool option;  (** [None] when the oracle is off or idle *)
   drops : Driver.demotion list;
   coverage_pct : float;  (** package share of this epoch's instructions *)
-  timeline : Vp_telemetry.t;
+  timeline : Vp_obs.Timeline.t;
       (** per-epoch interval series ([session.instructions],
           [session.branches], [session.package_instructions]) and
           [drift]/[evict]/[activate]/[defer] events, named ["epoch-K"]

@@ -3,6 +3,7 @@ module Op = Vp_isa.Op
 module Reg = Vp_isa.Reg
 module Emulator = Vp_exec.Emulator
 module Decode = Vp_exec.Decode
+module Timeline = Vp_obs.Timeline
 
 type stats = {
   cycles : int;
@@ -70,7 +71,7 @@ let release_models config models =
 
 let simulate_internal ?(config = Config.default)
     ?(backend = Emulator.Decoded) ?fuel ?mem_words ?on_branch_progress
-    ?(telemetry = Vp_telemetry.disabled) image =
+    ?(timeline = Timeline.disabled) image =
   let d = Decode.of_image image in
   (* Per-pc tables, decoded once: the retire callback below reads
      these flat arrays instead of matching on boxed [Instr.t] and
@@ -124,23 +125,23 @@ let simulate_internal ?(config = Config.default)
      retire path tests one immutable boolean; all registration and
      last-value state exists only when the timeline is enabled (the
      registers are no-ops on the disabled timeline). *)
-  let tl = telemetry in
-  let tl_on = Vp_telemetry.enabled tl in
-  let tl_interval = Vp_telemetry.interval_length tl in
-  let s_instr = Vp_telemetry.Series.register tl "timing.instructions" in
-  let s_cycles = Vp_telemetry.Series.register tl "timing.cycles" in
-  let s_icache = Vp_telemetry.Series.register tl "timing.icache_misses" in
-  let s_dcache = Vp_telemetry.Series.register tl "timing.dcache_misses" in
-  let s_l2 = Vp_telemetry.Series.register tl "timing.l2_misses" in
-  let s_mispred = Vp_telemetry.Series.register tl "timing.mispredicts" in
-  let s_fstall = Vp_telemetry.Series.register tl "timing.fetch_stalls" in
-  let s_dstall = Vp_telemetry.Series.register tl "timing.data_stalls" in
+  let tl = timeline in
+  let tl_on = Timeline.enabled tl in
+  let tl_interval = Timeline.interval_length tl in
+  let s_instr = Timeline.Series.register tl "timing.instructions" in
+  let s_cycles = Timeline.Series.register tl "timing.cycles" in
+  let s_icache = Timeline.Series.register tl "timing.icache_misses" in
+  let s_dcache = Timeline.Series.register tl "timing.dcache_misses" in
+  let s_l2 = Timeline.Series.register tl "timing.l2_misses" in
+  let s_mispred = Timeline.Series.register tl "timing.mispredicts" in
+  let s_fstall = Timeline.Series.register tl "timing.fetch_stalls" in
+  let s_dstall = Timeline.Series.register tl "timing.data_stalls" in
   let tl_count = ref 0 in
   let tl_last = Array.make 7 0 in
   let tl_flush n =
-    Vp_telemetry.Series.push tl s_instr n;
+    Timeline.Series.push tl s_instr n;
     let delta i s cur =
-      Vp_telemetry.Series.push tl s (cur - tl_last.(i));
+      Timeline.Series.push tl s (cur - tl_last.(i));
       tl_last.(i) <- cur
     in
     (* [!cycle + 1] is the cycle-count convention of [stats.cycles]
@@ -322,8 +323,8 @@ let simulate_internal ?(config = Config.default)
   release_models config models;
   result
 
-let simulate ?config ?backend ?fuel ?mem_words ?telemetry image =
-  simulate_internal ?config ?backend ?fuel ?mem_words ?telemetry image
+let simulate ?config ?backend ?fuel ?mem_words ?timeline image =
+  simulate_internal ?config ?backend ?fuel ?mem_words ?timeline image
 
 type phase_stats = {
   phase : int;

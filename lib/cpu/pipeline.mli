@@ -32,7 +32,7 @@ val simulate :
   ?backend:Vp_exec.Emulator.backend ->
   ?fuel:int ->
   ?mem_words:int ->
-  ?telemetry:Vp_telemetry.t ->
+  ?timeline:Vp_obs.Timeline.t ->
   Vp_prog.Image.t ->
   stats
 (** Emulate the image and time its retirement stream.  [backend]
@@ -40,7 +40,7 @@ val simulate :
     (default {!Vp_exec.Emulator.Decoded}); all backends deliver
     bit-identical streams, so the choice only affects wall-clock
     simulation speed.  With an enabled
-    [telemetry] timeline, per-interval deltas of the timing series are
+    [timeline], per-interval deltas of the timing series are
     recorded under the [timing.*] names ([instructions], [cycles],
     [icache_misses], [dcache_misses], [l2_misses], [mispredicts],
     [fetch_stalls], [data_stalls]); the disabled default costs one

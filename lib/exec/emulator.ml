@@ -323,7 +323,7 @@ let run_reference ?(fuel = 200_000_000) ?(mem_words = 1 lsl 20) ?on_branch
 
 (* The reference interpreter has no native [on_retire]; adapt it onto
    the event stream so the backend choice is transparent to retire-feed
-   consumers (telemetry, the timing model, session depth tracking). *)
+   consumers (timelines, the timing model, session depth tracking). *)
 let adapt_retire ~on_event ~on_retire =
   match on_retire with
   | None -> on_event

@@ -46,7 +46,7 @@ val run :
     Decodes the image first; callers that run the same image many
     times should decode once and use {!run_decoded}.  [on_retire] is
     forwarded to {!run_decoded} — the allocation-free per-retirement
-    sink the telemetry layer's interval samplers piggyback on.  Raises
+    sink the recorder's timeline samplers piggyback on.  Raises
     {!State.Fault} on out-of-range memory access and
     [Invalid_argument] on a jump outside the image or an executed
     unresolved label. *)

@@ -42,7 +42,7 @@ val set_hooks :
   ?on_rearm:(branches:int -> rearms:int -> unit) ->
   t ->
   unit
-(** Install run-time event callbacks (the telemetry layer's view of
+(** Install run-time event callbacks (the timeline sampler's view of
     the hardware).  [on_detect] fires at every raw detection (HDC
     reached zero) with the retired-branch index and the running
     detection count; [on_record] fires when a snapshot is actually
@@ -73,7 +73,7 @@ val hdc_value : t -> int
 
 val bbb_occupancy : t -> int
 (** Valid BBB entries right now (= {!Bbb.occupancy}); sampled by the
-    telemetry layer at interval boundaries. *)
+    timeline samplers at interval boundaries. *)
 
 val bbb_candidates : t -> int
 (** BBB entries whose candidate flag is set right now. *)

@@ -25,7 +25,7 @@ type hooks = {
 (** Scheduler observation points, called on the submitting/worker
     domain {e outside} the pool mutex.  Hooks must not raise and
     must not call back into the pool.  Readings are inherently
-    schedule-dependent — consumers (e.g. [Vp_metrics.Sched]) must
+    schedule-dependent — consumers (e.g. [Vp_obs.Sched]) must
     tag them volatile.  [None] hooks cost nothing. *)
 
 val default_jobs : unit -> int

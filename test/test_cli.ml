@@ -144,7 +144,7 @@ commands:
   timeline     Render a workload's interval timeline: detector state and phase extents of the profiling run, package residency lanes of the rewritten run, and (with --timing) timing-model series.
   serve        Run the online re-optimization loop on one or more workloads: profile, package, hot-patch the running image at a verified safe launch point, keep profiling the rewritten image, and re-package on phase drift — the package cache bounded by --cache-pct.  Stdout is byte-identical for every --jobs value and backend.
   top          Dashboard over a `vpack serve --metrics` snapshot: counter and cache tables, per-histogram bucket sparklines with p50/p90/p99.  Renders one frame by default; --watch re-reads and redraws live.
-  trace-check  Validate a trace file against its schema (vp-obs-trace/1, vp-timeline-trace/1, vp-profile-wire/1, vp-retire-trace/1, vp-metrics-snapshot/1 or vp-perfetto-trace/1, detected from the first line); failures name the schema and the offending line.
+  trace-check  Validate a trace file against its schema (vp-timeline-trace/1, vp-profile-wire/1, vp-retire-trace/1, vp-metrics-snapshot/1 or vp-perfetto-trace/1, detected from the first line); failures name the schema and the offending line.
   verify       Run the pipeline and the package soundness verifier on every emitted package; exit 4 if any check fails.
   chaos        Run the seed x fault-plan chaos matrix: every preset fault plan, asserting the differential oracle on each rewritten image; exit 5 on any cell failure.
   fuzz         Statistical chaos campaign over generated binaries: each case runs the full profile -> package -> verify -> rewrite pipeline under the fault-plan matrix with the differential oracle, plus vp-retire-trace/1 round-trip, ingestion-equivalence and corruption-totality checks; failures are shrunk to minimal repro files.  Reports are byte-identical across --jobs and backends.
@@ -173,7 +173,7 @@ options:
   --interval N               Telemetry sampling interval for --trace-dir, in retired instructions. (default 10000)
   --metrics FILE             Rewrite an OpenMetrics snapshot (schema vp-metrics-snapshot/1) of the stable metric registry to FILE after every epoch — a scrape-able live view, byte-identical for every --jobs value and backend.
   --perfetto FILE            Write a Chrome trace-event / Perfetto JSON timeline (schema vp-perfetto-trace/1) to FILE: pipeline spans on the driver lane, per-epoch session slices on one lane per workload.
-  --flight-dir DIR           Flight recorder: on a fallback to the original image, a verifier rejection or an oracle failure, dump the metric registry with its recent mark ring (plus the obs trace, if recording) to DIR.
+  --flight-dir DIR           Flight recorder: on a fallback to the original image, a verifier rejection or an oracle failure, dump the metric registry with its recent mark ring (plus the recorded spans, as a Perfetto trace) to DIR.
   -j, --jobs N               Evaluate up to N workloads in parallel on separate domains (0 = the machine's recommended domain count). (default 0)
   --backend BACKEND          Functional emulator backend: reference, decoded or compiled.  All backends produce bit-identical results; the choice only affects simulation speed. (default decoded)
   --help                     Show this help.
@@ -184,6 +184,39 @@ exit codes:
   3    pipeline error
   4    an epoch fell back to the original image or failed the oracle
 |golden}
+
+(* ---- trace-check on unreadable or unrecognised input ---- *)
+
+let check_trace_error what path expect =
+  match Vp_cli.Vpack.check_trace path with
+  | Ok report -> Alcotest.failf "%s accepted: %s" what report
+  | Error report ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s report %S starts %S" what report expect)
+      true
+      (String.starts_with ~prefix:(path ^ ": " ^ expect) report)
+
+let with_temp_file contents f =
+  let path = Filename.temp_file "vp-cli" ".trace" in
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let test_trace_check_missing_file () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "vp-cli-no-such-file" in
+  check_trace_error "missing file" path "cannot read: "
+
+let test_trace_check_directory () =
+  check_trace_error "directory" (Filename.get_temp_dir_name ()) "cannot read: "
+
+let test_trace_check_junk_file () =
+  with_temp_file "hello, not a trace\n" (fun path ->
+      check_trace_error "junk file" path "unknown schema");
+  (* the retired per-span JSON-lines schema is no longer recognised *)
+  with_temp_file
+    "{\"type\": \"meta\", \"schema\": \"vp-obs-trace/1\", \"dropped_spans\": 0}\n"
+    (fun path -> check_trace_error "vp-obs-trace/1 file" path "unknown schema")
 
 (* the quoted golden literals above open with a newline for
    readability; drop it before comparing *)
@@ -224,6 +257,12 @@ let () =
         ] );
       ( "dispatch",
         [ Alcotest.test_case "exit codes" `Quick test_main_exit_codes ] );
+      ( "trace-check",
+        [
+          Alcotest.test_case "missing file" `Quick test_trace_check_missing_file;
+          Alcotest.test_case "directory" `Quick test_trace_check_directory;
+          Alcotest.test_case "junk file" `Quick test_trace_check_junk_file;
+        ] );
       ( "help",
         [
           Alcotest.test_case "every command renders" `Quick

@@ -199,8 +199,8 @@ let test_driver_profile_matches_reference () =
 let test_residency_consistency w () =
   let name = Registry.name w in
   let config =
-    Vacuum.Config.with_telemetry
-      (Vp_telemetry.on ())
+    Vacuum.Config.with_obs
+      (Vp_obs.create ~interval:Vp_obs.default_interval ())
       (Vacuum.Config.with_fuel fuel Vacuum.Config.default)
   in
   let image = Program.layout (w.Registry.program ()) in
@@ -208,7 +208,7 @@ let test_residency_consistency w () =
   let c = Vacuum.Coverage.measure ~config r in
   let res = c.Vacuum.Coverage.residency in
   let sum series_name =
-    match Vp_telemetry.Series.find res series_name with
+    match Vp_obs.Timeline.Series.find res series_name with
     | Some v -> Array.fold_left ( + ) 0 v
     | None -> Alcotest.failf "%s: missing series %s" name series_name
   in
@@ -221,7 +221,7 @@ let test_residency_consistency w () =
         if s = "run.instructions" || s = "run.orig.instructions" then acc
         else acc + sum s)
       0
-      (Vp_telemetry.Series.names res)
+      (Vp_obs.Timeline.Series.names res)
   in
   Alcotest.(check int)
     (name ^ ": package residency = Figure 8 numerator")

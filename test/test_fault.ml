@@ -321,11 +321,11 @@ let test_fault_counters () =
   let (_ : Driver.rewrite) = Driver.rewrite ~config img in
   let counters = Vp_obs.Sink.counters obs in
   Alcotest.(check bool) "drop_package counted" true
-    (match List.assoc_opt "degrade.drop-package" counters with
+    (match List.assoc_opt "demote.drop-package" counters with
     | Some n -> n > 0
     | None -> false);
   Alcotest.(check bool) "drop_region counted" true
-    (match List.assoc_opt "degrade.drop-region" counters with
+    (match List.assoc_opt "demote.drop-region" counters with
     | Some n -> n > 0
     | None -> false)
 

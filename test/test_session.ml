@@ -329,18 +329,18 @@ let test_fault_jobs_invariant () =
     (fun i (a, b) -> Alcotest.(check string) (Printf.sprintf "spec %d" i) a b)
     (List.combine seq par)
 
-(* ---- per-epoch telemetry (satellite) ---- *)
+(* ---- per-epoch timelines ---- *)
 
-let telemetry_config ?epochs () =
+let timeline_config ?epochs () =
   session_config ?epochs ()
-  |> Config.with_telemetry (Vp_telemetry.on ())
+  |> Config.with_obs (Vp_obs.create ~interval:Vp_obs.default_interval ())
 
 (* The merged vp-timeline-trace/1 bytes of a report's epoch timelines —
    the exact artifact `vpack serve --trace-dir` ships, so byte equality
    here is byte equality of the shipped file. *)
 let trace_string (r : Session.report) =
   let path = Filename.temp_file "vp-session-trace" ".jsonl" in
-  Vp_telemetry.Sink.write_trace ~path
+  Vp_obs.Timeline.write_trace ~path
     (List.map (fun (e : Session.epoch_report) -> e.Session.timeline)
        r.Session.epochs);
   let ic = open_in_bin path in
@@ -354,7 +354,7 @@ let test_epoch_tags_dense_and_ordered () =
      same dense, strictly ordered epoch-K run labels as a straight run:
      the tag records the epoch's absolute index, not the call shape. *)
   let img = Lazy.force drifting_image in
-  let config = telemetry_config () in
+  let config = timeline_config () in
   let s = Session.create ~config img in
   ignore (Session.step s);
   ignore (Session.step s);
@@ -366,12 +366,12 @@ let test_epoch_tags_dense_and_ordered () =
       Alcotest.(check (option string))
         (Printf.sprintf "epoch %d run label" i)
         (Some (Printf.sprintf "epoch-%d" i))
-        (Vp_telemetry.name e.Session.timeline))
+        (Vp_obs.Timeline.name e.Session.timeline))
     r.Session.epochs
 
 let test_epoch_trace_byte_identical () =
   let img = Lazy.force drifting_image in
-  let config = telemetry_config () in
+  let config = timeline_config () in
   let straight = trace_string (Session.run ~epochs:4 (Session.create ~config img)) in
   (* resume ≡ straight-through, down to the trace bytes *)
   let s = Session.create ~config img in

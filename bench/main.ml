@@ -52,7 +52,7 @@ let engine = ref (Engine.create ~jobs:1 ())
 (* Which functional emulator produces every retire stream this process
    runs (--backend); all backends are bit-identical, so tables do not
    change with the selection — only wall-clock does. *)
-let backend = ref Emulator.Decoded
+let backend = ref Emulator.default_backend
 
 let spec_of w =
   {

@@ -883,7 +883,7 @@ let serve_cmd =
       | None -> ());
       (match perfetto_path with
       | Some path ->
-        let session_events =
+        let epoch_lane_events =
           List.rev_map
             (fun (i, epoch, t0, dur) ->
               {
@@ -898,7 +898,7 @@ let serve_cmd =
         in
         let events =
           Vp_obs.Perfetto.of_spans ~pid:1 ~cat:"driver" (Vp_obs.Sink.spans obs)
-          @ session_events
+          @ epoch_lane_events
         in
         Vp_obs.Perfetto.write
           ~processes:[ (1, "driver"); (3, "session") ]

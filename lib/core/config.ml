@@ -38,7 +38,7 @@ let v ?(detector = Vp_hsd.Config.default) ?(history_size = 0)
     ?(similarity = Vp_phase.Similarity.default)
     ?(identify = Vp_region.Identify.default) ?(linking = true)
     ?(opt = Vp_opt.Opt.default) ?(cpu = Vp_cpu.Config.default)
-    ?(backend = Vp_exec.Emulator.Decoded) ?(mem_words = 1 lsl 20)
+    ?(backend = Vp_exec.Emulator.default_backend) ?(mem_words = 1 lsl 20)
     ?(fuel = 200_000_000) ?(obs = Vp_obs.disabled) ?fault ?(degrade = true)
     ?(session = default_session) () =
   {

@@ -89,9 +89,12 @@ val cpu : t -> Vp_cpu.Config.t
 
 val backend : t -> Vp_exec.Emulator.backend
 (** Which emulation core every run in the pipeline uses — profiling,
-    coverage, chaos oracles, fleet emulation and the timing model's
-    retire feed all select it from here ([Decoded] by default, so the
-    differential oracle's semantics are the baseline). *)
+    coverage, chaos oracles, fleet emulation, session slices and the
+    timing model's retire feed all pass it to
+    {!Vp_exec.Emulator.run_backend} or {!Vp_exec.Emulator.run_slice}.
+    Defaults to {!Vp_exec.Emulator.default_backend} (the decoded core).
+    All backends are bit-identical, so the choice moves only wall-clock
+    time; [Reference] runs the executable specification. *)
 
 val mem_words : t -> int
 val fuel : t -> int

@@ -245,9 +245,9 @@ let step t =
         (fun ~pc ~taken:_ ~next_pc ~mem_addr:_ ->
           if need_depth then begin
             if pc >= ol then begin
-              if tag.(pc) = 8 (* Call *) then t.depth <- t.depth + 1
+              if tag.(pc) = Decode.tag_call then t.depth <- t.depth + 1
             end
-            else if next_pc >= ol && tag.(pc) = 9 (* Ret *) then
+            else if next_pc >= ol && tag.(pc) = Decode.tag_ret then
               t.depth <- t.depth - 1
           end;
           if timeline_on then begin

@@ -69,9 +69,8 @@ let take_models (config : Config.t) =
 let release_models config models =
   Domain.DLS.get model_pool := Some (config, models)
 
-let simulate_internal ?(config = Config.default)
-    ?(backend = Emulator.Decoded) ?fuel ?mem_words ?on_branch_progress
-    ?(timeline = Timeline.disabled) image =
+let simulate_internal ?(config = Config.default) ?backend ?fuel ?mem_words
+    ?on_branch_progress ?(timeline = Timeline.disabled) image =
   let d = Decode.of_image image in
   (* Per-pc tables, decoded once: the retire callback below reads
      these flat arrays instead of matching on boxed [Instr.t] and
@@ -289,14 +288,7 @@ let simulate_internal ?(config = Config.default)
      functional backend is selected; the timing tables above are keyed
      by pc only, so the feed's provenance is transparent. *)
   let (_ : Emulator.outcome) =
-    match backend with
-    | Emulator.Decoded -> Emulator.run_decoded ?fuel ?mem_words ~on_retire d
-    | Emulator.Compiled ->
-      Emulator.run_compiled ?fuel ?mem_words ~on_retire
-        (Vp_exec.Compile.of_image image)
-    | Emulator.Reference ->
-      Emulator.run_backend ~backend:Emulator.Reference ?fuel ?mem_words
-        ~on_retire image
+    Emulator.run_backend ?backend ?fuel ?mem_words ~on_retire image
   in
   if tl_on && !tl_count > 0 then tl_flush !tl_count;
   let pstats = Predictor.stats pred in

@@ -36,8 +36,9 @@ val simulate :
   Vp_prog.Image.t ->
   stats
 (** Emulate the image and time its retirement stream.  [backend]
-    selects which functional emulator produces the retire feed
-    (default {!Vp_exec.Emulator.Decoded}); all backends deliver
+    selects which functional emulator produces the retire feed through
+    {!Vp_exec.Emulator.run_backend} (default
+    {!Vp_exec.Emulator.default_backend}); all backends deliver
     bit-identical streams, so the choice only affects wall-clock
     simulation speed.  With an enabled
     [timeline], per-interval deltas of the timing series are

@@ -1,6 +1,6 @@
 (* Block-threaded closure compilation of a decoded image.
 
-   The decoded core ({!Decode} + [Emulator.run_decoded]) still pays a
+   The decoded core ({!Decode} + the emulator's decoded backend) pays a
    per-instruction dispatch: fuel check, pc bounds check, tag load,
    match, operand loads, scratch writes, [State.set_pc].  This module
    removes all of it.  The image is partitioned into basic blocks and
@@ -17,10 +17,10 @@
 
    Two variants of every block are compiled: a [fast] one with no
    observation calls at all, and an [observed] one that feeds the
-   run's [on_branch]/[sink] closures (read from the per-run {!ctx}, so
-   compiled code is reusable across runs and observers).  Outcomes,
-   checksums and observation streams are bit-identical to
-   [Emulator.run_decoded], which stays the differential oracle. *)
+   run's [on_branch]/[on_retire] closures (read from the per-run {!ctx},
+   so compiled code is reusable across runs and observers).  Outcomes,
+   checksums and observation streams are bit-identical to the decoded
+   and reference backends, which stay the differential oracles. *)
 
 module Op = Vp_isa.Op
 module Reg = Vp_isa.Reg
@@ -44,7 +44,7 @@ type ctx = {
   mutable branches : int;
   mutable halted : bool;
   on_branch : pc:int -> taken:bool -> unit;
-  sink : pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit;
+  on_retire : pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit;
 }
 
 type variant = {
@@ -223,7 +223,7 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
       if t then unres pc;
       ctx.on_branch ~pc ~taken:t
     | _ (* La/Jmp/Call with an unresolved label *) -> unres pc);
-    ctx.sink ~pc ~taken:!taken ~next_pc:!next ~mem_addr:!mem_addr;
+    ctx.on_retire ~pc ~taken:!taken ~next_pc:!next ~mem_addr:!mem_addr;
     if not ctx.halted then interp ctx !next
   in
   (* Compile-time dispatch to a target address.  In-range targets are
@@ -253,7 +253,7 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
     if observed then begin
       let np = pc + 1 in
       fun ctx ->
-        ctx.sink ~pc ~taken:false ~next_pc:np ~mem_addr:(-1);
+        ctx.on_retire ~pc ~taken:false ~next_pc:np ~mem_addr:(-1);
         k ctx
     end
     else k
@@ -404,7 +404,7 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
           State.set_pc st pc;
           let addr = State.reg st b + off in
           State.set_reg st d0 (State.mem st addr);
-          ctx.sink ~pc ~taken:false ~next_pc:np ~mem_addr:addr;
+          ctx.on_retire ~pc ~taken:false ~next_pc:np ~mem_addr:addr;
           k ctx
       end
       else
@@ -428,7 +428,7 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
           let v = State.reg st s0 in
           State.set_mem st addr v;
           if track then State.bump_store_digest st addr v;
-          ctx.sink ~pc ~taken:false ~next_pc:np ~mem_addr:addr;
+          ctx.on_retire ~pc ~taken:false ~next_pc:np ~mem_addr:addr;
           k ctx
       end
       else if track then
@@ -453,7 +453,7 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
   in
   (* A block's terminator: control transfer baked at compile time,
      observation stream in the decoded interpreter's exact order
-     ([on_branch] inside the dispatch, retirement sink after, faults on
+     ([on_branch] inside the dispatch, [on_retire] after, faults on
      unresolved taken branches before either). *)
   let compile_term pc =
     match tag.(pc) with
@@ -469,11 +469,11 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
           let t = test (State.reg st a) (State.reg st b) in
           ctx.on_branch ~pc ~taken:t;
           if t then begin
-            ctx.sink ~pc ~taken:true ~next_pc:tpc ~mem_addr:(-1);
+            ctx.on_retire ~pc ~taken:true ~next_pc:tpc ~mem_addr:(-1);
             gt ctx
           end
           else begin
-            ctx.sink ~pc ~taken:false ~next_pc:np ~mem_addr:(-1);
+            ctx.on_retire ~pc ~taken:false ~next_pc:np ~mem_addr:(-1);
             gf ctx
           end
       end
@@ -515,7 +515,7 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
       let g = goto tpc in
       if observed then
         fun ctx ->
-          ctx.sink ~pc ~taken:true ~next_pc:tpc ~mem_addr:(-1);
+          ctx.on_retire ~pc ~taken:true ~next_pc:tpc ~mem_addr:(-1);
           g ctx
       else g
     | 8 ->
@@ -525,7 +525,7 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
       if observed then
         fun ctx ->
           State.set_reg ctx.st Reg.ra link;
-          ctx.sink ~pc ~taken:true ~next_pc:tpc ~mem_addr:(-1);
+          ctx.on_retire ~pc ~taken:true ~next_pc:tpc ~mem_addr:(-1);
           g ctx
       else
         fun ctx ->
@@ -541,10 +541,11 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
           if ra = State.halt_address then begin
             ctx.halted <- true;
             State.set_pc ctx.st pc;
-            ctx.sink ~pc ~taken:true ~next_pc:State.halt_address ~mem_addr:(-1)
+            ctx.on_retire ~pc ~taken:true ~next_pc:State.halt_address
+              ~mem_addr:(-1)
           end
           else begin
-            ctx.sink ~pc ~taken:true ~next_pc:ra ~mem_addr:(-1);
+            ctx.on_retire ~pc ~taken:true ~next_pc:ra ~mem_addr:(-1);
             interp ctx ra
           end
       else
@@ -560,7 +561,8 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
         fun ctx ->
           ctx.halted <- true;
           State.set_pc ctx.st pc;
-          ctx.sink ~pc ~taken:false ~next_pc:State.halt_address ~mem_addr:(-1)
+          ctx.on_retire ~pc ~taken:false ~next_pc:State.halt_address
+            ~mem_addr:(-1)
       else
         fun ctx ->
           ctx.halted <- true;
@@ -575,7 +577,7 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
           ctx.branches <- ctx.branches + 1;
           if test (State.reg ctx.st a) (State.reg ctx.st b) then unres pc;
           ctx.on_branch ~pc ~taken:false;
-          ctx.sink ~pc ~taken:false ~next_pc:np ~mem_addr:(-1);
+          ctx.on_retire ~pc ~taken:false ~next_pc:np ~mem_addr:(-1);
           g ctx
       else
         fun ctx ->
@@ -654,12 +656,12 @@ let block_of_pc t pc = t.block_idx.(pc)
 let block_bounds t b = (t.block_start.(b), t.block_len.(b))
 
 let noop_branch ~pc:_ ~taken:_ = ()
-let noop_sink ~pc:_ ~taken:_ ~next_pc:_ ~mem_addr:_ = ()
+let noop_retire ~pc:_ ~taken:_ ~next_pc:_ ~mem_addr:_ = ()
 
-let exec t st ~fuel ?on_branch ?sink () =
+let exec t st ~fuel ?on_branch ?on_retire () =
   let observe =
     (match on_branch with Some _ -> true | None -> false)
-    || match sink with Some _ -> true | None -> false
+    || match on_retire with Some _ -> true | None -> false
   in
   let ctx =
     {
@@ -669,7 +671,7 @@ let exec t st ~fuel ?on_branch ?sink () =
       branches = 0;
       halted = false;
       on_branch = (match on_branch with Some f -> f | None -> noop_branch);
-      sink = (match sink with Some f -> f | None -> noop_sink);
+      on_retire = (match on_retire with Some f -> f | None -> noop_retire);
     }
   in
   let v = if observe then t.observed else t.fast in

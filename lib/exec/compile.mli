@@ -13,10 +13,10 @@
 
     Two specialized variants of every block are compiled: a fast one
     with no observation code at all, and an observed one feeding the
-    run's [on_branch]/[sink] closures.  {!exec} picks the variant from
-    the observers it is given; outcomes, checksums and observation
-    streams are bit-identical to [Emulator.run_decoded], which stays
-    the differential oracle. *)
+    run's [on_branch]/[on_retire] closures.  {!exec} picks the variant
+    from the observers it is given; outcomes, checksums and observation
+    streams are bit-identical to the emulator's decoded and reference
+    backends, which stay the differential oracles. *)
 
 type t
 
@@ -52,12 +52,12 @@ val exec :
   State.t ->
   fuel:int ->
   ?on_branch:(pc:int -> taken:bool -> unit) ->
-  ?sink:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
+  ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
   unit ->
   result
 (** Run compiled code from the state's current pc until halt, a return
     to {!State.halt_address}, or fuel exhaustion, leaving the final pc
-    in the state exactly as [Emulator.run_decoded] would.  [sink] is
-    the fused retirement channel ([mem_addr] is -1 for non-memory
+    in the state exactly as the decoded backend would.  [on_retire] is
+    the emulator's retirement channel ([mem_addr] is -1 for non-memory
     instructions); observer-present runs use the observed compiled
     variant, observer-free runs the fast one. *)

@@ -3,14 +3,6 @@ module Op = Vp_isa.Op
 module Reg = Vp_isa.Reg
 module Image = Vp_prog.Image
 
-type event = {
-  pc : int;
-  instr : Instr.t;
-  taken : bool;
-  next_pc : int;
-  mem_addr : int option;
-}
-
 type outcome = {
   instructions : int;
   package_instructions : int;
@@ -20,6 +12,36 @@ type outcome = {
   result : int;
   final_pc : int;
 }
+
+type backend = Reference | Decoded | Compiled
+
+let default_backend = Decoded
+
+let backend_name = function
+  | Reference -> "reference"
+  | Decoded -> "decoded"
+  | Compiled -> "compiled"
+
+let backend_of_string = function
+  | "reference" -> Some Reference
+  | "decoded" -> Some Decoded
+  | "compiled" -> Some Compiled
+  | _ -> None
+
+let all_backends = [ Reference; Decoded; Compiled ]
+
+(* A slice's own counters, plus what the (cumulative) state holds at
+   its end. *)
+let outcome_of st ~instructions ~package_instructions ~cond_branches ~halted =
+  {
+    instructions;
+    package_instructions;
+    cond_branches;
+    halted;
+    checksum = State.checksum st;
+    result = State.reg st Reg.ret_value;
+    final_pc = State.pc st;
+  }
 
 let target_addr = function
   | Instr.Addr a -> a
@@ -48,7 +70,7 @@ let unresolved code pc =
    leaves the final pc in the state so a later slice (possibly over a
    different image sharing the same address space) resumes exactly where
    this one stopped.  Counts in the outcome cover only this slice. *)
-let decoded_slice st ~fuel ?on_branch ?on_event ?on_retire (d : Decode.t) =
+let decoded_slice st ~fuel ?on_branch ?on_retire (d : Decode.t) =
   let instructions = ref 0 in
   let package_instructions = ref 0 in
   let cond_branches = ref 0 in
@@ -65,8 +87,7 @@ let decoded_slice st ~fuel ?on_branch ?on_event ?on_retire (d : Decode.t) =
   let code = d.Decode.code in
   let size = Array.length tag in
   (* Per-instruction scratch, allocated once for the whole run: the
-     retire loop writes plain ints and bools here instead of
-     allocating an event record or a [mem_addr] option. *)
+     retire loop writes plain ints and bools here, never a record. *)
   let taken = ref false in
   let mem_addr = ref (-1) in
   let next = ref 0 in
@@ -137,112 +158,28 @@ let decoded_slice st ~fuel ?on_branch ?on_event ?on_retire (d : Decode.t) =
       if t then unresolved code pc;
       (match on_branch with Some f -> f ~pc ~taken:t | None -> ())
     | _ (* La/Jmp/Call with an unresolved label *) -> unresolved code pc);
-    (match on_event with
-    | Some f ->
-      f
-        {
-          pc;
-          instr = code.(pc);
-          taken = !taken;
-          next_pc = !next;
-          mem_addr = (if !mem_addr < 0 then None else Some !mem_addr);
-        }
-    | None -> ());
     (match on_retire with
     | Some f -> f ~pc ~taken:!taken ~next_pc:!next ~mem_addr:!mem_addr
     | None -> ());
     if not !halted then State.set_pc st !next
   done;
-  {
-    instructions = !instructions;
-    package_instructions = !package_instructions;
-    cond_branches = !cond_branches;
-    halted = !halted;
-    checksum = State.checksum st;
-    result = State.reg st Reg.ret_value;
-    final_pc = State.pc st;
-  }
+  outcome_of st ~instructions:!instructions
+    ~package_instructions:!package_instructions ~cond_branches:!cond_branches
+    ~halted:!halted
 
-let run_decoded ?(fuel = 200_000_000) ?(mem_words = 1 lsl 20) ?on_branch
-    ?on_event ?on_retire (d : Decode.t) =
-  let st = State.create ~mem_words d.Decode.image in
-  let outcome = decoded_slice st ~fuel ?on_branch ?on_event ?on_retire d in
-  (* The state never escapes this function; recycle its memory array. *)
-  State.release st;
-  outcome
+(* The same slice over block-compiled closures; with no observer at all
+   {!Compile.exec} runs the observer-free compiled variant. *)
+let compiled_slice st ~fuel ?on_branch ?on_retire (c : Compile.t) =
+  let r = Compile.exec c st ~fuel ?on_branch ?on_retire () in
+  outcome_of st ~instructions:r.Compile.instructions
+    ~package_instructions:r.Compile.package_instructions
+    ~cond_branches:r.Compile.cond_branches ~halted:r.Compile.halted
 
-let run ?fuel ?mem_words ?on_branch ?on_event ?on_retire image =
-  run_decoded ?fuel ?mem_words ?on_branch ?on_event ?on_retire
-    (Decode.of_image image)
-
-(* Fuse the two retirement channels into the compiler's single sink,
-   preserving the decoded loop's order: [on_event] (boxed record)
-   first, then [on_retire] (plain ints).  With neither present the
-   sink is [None] and exec selects the observer-free compiled
-   variant. *)
-let fused_sink image ~on_event ~on_retire =
-  match (on_event, on_retire) with
-  | None, None -> None
-  | _ ->
-    let code = image.Image.code in
-    Some
-      (fun ~pc ~taken ~next_pc ~mem_addr ->
-        (match on_event with
-        | Some f ->
-          f
-            {
-              pc;
-              instr = code.(pc);
-              taken;
-              next_pc;
-              mem_addr = (if mem_addr < 0 then None else Some mem_addr);
-            }
-        | None -> ());
-        match on_retire with
-        | Some f -> f ~pc ~taken ~next_pc ~mem_addr
-        | None -> ())
-
-let compiled_slice st ~fuel ?on_branch ?on_event ?on_retire (c : Compile.t) =
-  let image = (Compile.decode c).Decode.image in
-  let sink = fused_sink image ~on_event ~on_retire in
-  let r = Compile.exec c st ~fuel ?on_branch ?sink () in
-  {
-    instructions = r.Compile.instructions;
-    package_instructions = r.Compile.package_instructions;
-    cond_branches = r.Compile.cond_branches;
-    halted = r.Compile.halted;
-    checksum = State.checksum st;
-    result = State.reg st Reg.ret_value;
-    final_pc = State.pc st;
-  }
-
-let run_compiled ?(fuel = 200_000_000) ?(mem_words = 1 lsl 20) ?on_branch
-    ?on_event ?on_retire (c : Compile.t) =
-  let image = (Compile.decode c).Decode.image in
-  let st = State.create ~mem_words image in
-  let outcome = compiled_slice st ~fuel ?on_branch ?on_event ?on_retire c in
-  State.release st;
-  outcome
-
-type backend = Reference | Decoded | Compiled
-
-let backend_name = function
-  | Reference -> "reference"
-  | Decoded -> "decoded"
-  | Compiled -> "compiled"
-
-let backend_of_string = function
-  | "reference" -> Some Reference
-  | "decoded" -> Some Decoded
-  | "compiled" -> Some Compiled
-  | _ -> None
-
-let all_backends = [ Reference; Decoded; Compiled ]
-
-(* The original boxed interpreter, kept verbatim as the executable
+(* The original boxed interpreter, kept as the executable
    specification: the differential tests re-run every workload through
-   it and require bit-identical outcomes from the decoded core. *)
-let reference_slice st ~fuel ?on_branch ?on_event image =
+   it and require bit-identical outcomes and observation streams from
+   the decoded and compiled cores. *)
+let reference_slice st ~fuel ?on_branch ?on_retire image =
   let instructions = ref 0 in
   let package_instructions = ref 0 in
   let cond_branches = ref 0 in
@@ -258,7 +195,7 @@ let reference_slice st ~fuel ?on_branch ?on_event image =
     incr instructions;
     if pc >= orig_limit then incr package_instructions;
     let taken = ref false in
-    let mem_addr = ref None in
+    let mem_addr = ref (-1) in
     let next = ref (pc + 1) in
     (match instr with
     | Instr.Alu { op; dst; src1; src2 } ->
@@ -267,11 +204,11 @@ let reference_slice st ~fuel ?on_branch ?on_event image =
     | Instr.La { dst; target } -> State.set_reg st dst (target_addr target)
     | Instr.Load { dst; base; offset } ->
       let addr = State.reg st base + offset in
-      mem_addr := Some addr;
+      mem_addr := addr;
       State.set_reg st dst (State.mem st addr)
     | Instr.Store { src; base; offset } ->
       let addr = State.reg st base + offset in
-      mem_addr := Some addr;
+      mem_addr := addr;
       let v = State.reg st src in
       State.set_mem st addr v;
       if not (Reg.equal src Reg.ra) then State.bump_store_digest st addr v
@@ -300,76 +237,42 @@ let reference_slice st ~fuel ?on_branch ?on_event image =
     | Instr.Halt ->
       halted := true;
       next := State.halt_address);
-    (match on_event with
-    | Some f ->
-      f { pc; instr; taken = !taken; next_pc = !next; mem_addr = !mem_addr }
+    (match on_retire with
+    | Some f -> f ~pc ~taken:!taken ~next_pc:!next ~mem_addr:!mem_addr
     | None -> ());
     if not !halted then State.set_pc st !next
   done;
-  {
-    instructions = !instructions;
-    package_instructions = !package_instructions;
-    cond_branches = !cond_branches;
-    halted = !halted;
-    checksum = State.checksum st;
-    result = State.reg st Reg.ret_value;
-    final_pc = State.pc st;
-  }
+  outcome_of st ~instructions:!instructions
+    ~package_instructions:!package_instructions ~cond_branches:!cond_branches
+    ~halted:!halted
 
-let run_reference ?(fuel = 200_000_000) ?(mem_words = 1 lsl 20) ?on_branch
-    ?on_event image =
-  let st = State.create ~mem_words image in
-  reference_slice st ~fuel ?on_branch ?on_event image
-
-(* The reference interpreter has no native [on_retire]; adapt it onto
-   the event stream so the backend choice is transparent to retire-feed
-   consumers (timelines, the timing model, session depth tracking). *)
-let adapt_retire ~on_event ~on_retire =
-  match on_retire with
-  | None -> on_event
-  | Some r ->
-    Some
-      (fun e ->
-        (match on_event with Some f -> f e | None -> ());
-        r ~pc:e.pc ~taken:e.taken ~next_pc:e.next_pc
-          ~mem_addr:(match e.mem_addr with Some a -> a | None -> -1))
-
-let run_slice ?(backend = Decoded) ~state ~fuel ?on_branch ?on_event ?on_retire
+let run_slice ?(backend = default_backend) ~state ~fuel ?on_branch ?on_retire
     image =
   match backend with
   | Decoded ->
-    decoded_slice state ~fuel ?on_branch ?on_event ?on_retire
-      (Decode.of_image image)
+    decoded_slice state ~fuel ?on_branch ?on_retire (Decode.of_image image)
   | Compiled ->
-    compiled_slice state ~fuel ?on_branch ?on_event ?on_retire
-      (Compile.of_image image)
-  | Reference ->
-    let on_event = adapt_retire ~on_event ~on_retire in
-    reference_slice state ~fuel ?on_branch ?on_event image
+    compiled_slice state ~fuel ?on_branch ?on_retire (Compile.of_image image)
+  | Reference -> reference_slice state ~fuel ?on_branch ?on_retire image
 
-let run_backend ?(backend = Decoded) ?fuel ?mem_words ?on_branch ?on_event
-    ?on_retire image =
-  match backend with
-  | Decoded ->
-    run_decoded ?fuel ?mem_words ?on_branch ?on_event ?on_retire
-      (Decode.of_image image)
-  | Compiled ->
-    run_compiled ?fuel ?mem_words ?on_branch ?on_event ?on_retire
-      (Compile.of_image image)
-  | Reference ->
-    let on_event = adapt_retire ~on_event ~on_retire in
-    run_reference ?fuel ?mem_words ?on_branch ?on_event image
+let run_backend ?backend ?(fuel = 200_000_000) ?(mem_words = 1 lsl 20)
+    ?on_branch ?on_retire image =
+  let state = State.create ~mem_words image in
+  let outcome = run_slice ?backend ~state ~fuel ?on_branch ?on_retire image in
+  (* The state never escapes this function; recycle its memory array. *)
+  State.release state;
+  outcome
 
 let aggregate_branch_profile ?fuel ?mem_words image =
-  let d = Decode.of_image image in
+  let size = Array.length image.Image.code in
   (* pc-indexed counters instead of a hashtable: the per-branch cost
      is two array bumps, and the table shape is recovered once at the
      end for the callers that want it. *)
-  let executed = Array.make (Decode.size d) 0 in
-  let takens = Array.make (Decode.size d) 0 in
+  let executed = Array.make size 0 in
+  let takens = Array.make size 0 in
   let on_branch ~pc ~taken =
     executed.(pc) <- executed.(pc) + 1;
     if taken then takens.(pc) <- takens.(pc) + 1
   in
-  let (_ : outcome) = run_decoded ?fuel ?mem_words ~on_branch d in
+  let (_ : outcome) = run_backend ?fuel ?mem_words ~on_branch image in
   Branch_profile.of_counts ~executed ~takens

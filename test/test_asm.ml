@@ -87,7 +87,7 @@ let test_parse_and_run () =
   | Ok p ->
     Alcotest.(check int) "two functions" 2 (List.length p.Program.funcs);
     Alcotest.(check int) "data break" 20 p.Program.data_break;
-    let o = Emulator.run (Program.layout p) in
+    let o = Emulator.run_backend (Program.layout p) in
     Alcotest.(check bool) "halted" true o.Emulator.halted;
     Alcotest.(check int) "sum 0..6" 21 o.Emulator.result
 
@@ -108,8 +108,8 @@ let roundtrip_program name p =
   | Ok p' ->
     Alcotest.(check bool) (name ^ " roundtrips") true (p = p');
     (* And the behaviour is identical. *)
-    let a = Emulator.run ~fuel:2_000_000 (Program.layout p) in
-    let b = Emulator.run ~fuel:2_000_000 (Program.layout p') in
+    let a = Emulator.run_backend ~fuel:2_000_000 (Program.layout p) in
+    let b = Emulator.run_backend ~fuel:2_000_000 (Program.layout p') in
     Alcotest.(check int) (name ^ " same checksum") a.Emulator.checksum b.Emulator.checksum
 
 let test_builder_roundtrips () =

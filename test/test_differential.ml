@@ -1,8 +1,8 @@
 (* Differential tests: the decoded execution core against the boxed
    reference interpreter.  Every registry A-input workload runs through
-   both [Emulator.run_reference] (the original instruction-at-a-time
-   interpreter, kept as the executable specification) and the decoded
-   [Emulator.run]; the two must agree on every outcome field, on the
+   both the reference backend (the original instruction-at-a-time
+   interpreter, kept as the executable specification) and the default
+   decoded backend; the two must agree on every outcome field, on the
    hot-spot detector's snapshot stream, and on the whole-run aggregate
    branch profile. *)
 
@@ -55,11 +55,13 @@ let test_workload w () =
   let image = Program.layout (w.Registry.program ()) in
   let ref_outcome, ref_snaps, ref_agg =
     observe
-      (fun ~fuel ~on_branch image -> Emulator.run_reference ~fuel ~on_branch image)
+      (fun ~fuel ~on_branch image ->
+        Emulator.run_backend ~backend:Emulator.Reference ~fuel ~on_branch image)
       image
   in
   let dec_outcome, dec_snaps, dec_agg =
-    observe (fun ~fuel ~on_branch image -> Emulator.run ~fuel ~on_branch image)
+    observe
+      (fun ~fuel ~on_branch image -> Emulator.run_backend ~fuel ~on_branch image)
       image
   in
   check_outcome name ref_outcome dec_outcome;
@@ -185,7 +187,9 @@ let test_driver_profile_matches_reference () =
     let e, t = Option.value ~default:(0, 0) (Hashtbl.find_opt agg pc) in
     Hashtbl.replace agg pc (e + 1, if taken then t + 1 else t)
   in
-  let outcome = Emulator.run_reference ~on_branch image in
+  let outcome =
+    Emulator.run_backend ~backend:Emulator.Reference ~on_branch image
+  in
   check_outcome "driver profile" outcome p.Vacuum.Driver.outcome;
   Alcotest.(check bool)
     "driver aggregate matches reference interpreter" true

@@ -7,7 +7,7 @@ module Emulator = Vp_exec.Emulator
 module State = Vp_exec.State
 module Progs = Vp_test_support.Progs
 
-let run p = Emulator.run (Program.layout p)
+let run p = Emulator.run_backend (Program.layout p)
 
 let test_sum_loop () =
   let o = run (Progs.sum_to_n 100) in
@@ -58,7 +58,7 @@ let test_fuel_exhaustion () =
       B.li fb z 0;
       B.while_ fb (fun () -> (Vp_isa.Op.Eq, z, B.K 0)) (fun () -> ());
       B.halt fb);
-  let o = Emulator.run ~fuel:10_000 (Program.layout (B.program b ~entry:"main")) in
+  let o = Emulator.run_backend ~fuel:10_000 (Program.layout (B.program b ~entry:"main")) in
   Alcotest.(check bool) "not halted" false o.Emulator.halted;
   Alcotest.(check int) "fuel consumed" 10_000 o.Emulator.instructions
 
@@ -72,7 +72,7 @@ let test_memory_fault () =
   let img = Program.layout (B.program b ~entry:"main") in
   Alcotest.(check bool) "fault raised" true
     (try
-       ignore (Emulator.run img);
+       ignore (Emulator.run_backend img);
        false
      with State.Fault _ -> true)
 
@@ -94,7 +94,7 @@ let test_builder_break_continue () =
           B.alu fb Op.Add acc acc (B.V i));
       B.ret fb (Some acc);
       B.halt fb);
-  let o = Emulator.run (Program.layout (B.program b ~entry:"main")) in
+  let o = Emulator.run_backend (Program.layout (B.program b ~entry:"main")) in
   (* Odd values below 7: 1 + 3 + 5. *)
   Alcotest.(check int) "break/continue semantics" 9 o.Emulator.result
 
@@ -121,7 +121,7 @@ let test_builder_raw_labels () =
       B.place_label fb out;
       B.ret fb (Some acc);
       B.halt fb);
-  let o = Emulator.run (Program.layout (B.program b ~entry:"main")) in
+  let o = Emulator.run_backend (Program.layout (B.program b ~entry:"main")) in
   Alcotest.(check int) "bottom-tested loop" 45 o.Emulator.result
 
 let test_builder_frame_locals () =
@@ -149,7 +149,7 @@ let test_builder_frame_locals () =
           B.alu fb Op.Add acc acc (B.V v));
       B.ret fb (Some acc);
       B.halt fb);
-  let o = Emulator.run (Program.layout (B.program b ~entry:"main")) in
+  let o = Emulator.run_backend (Program.layout (B.program b ~entry:"main")) in
   (* sum of i^2 + 1 for i in 0..7 = 140 + 8. *)
   Alcotest.(check int) "frame-local array" 148 o.Emulator.result
 
@@ -158,7 +158,7 @@ let test_branch_observation () =
   let seen = ref 0 in
   let taken_count = ref 0 in
   let o =
-    Emulator.run
+    Emulator.run_backend
       ~on_branch:(fun ~pc:_ ~taken ->
         incr seen;
         if taken then incr taken_count)
@@ -180,21 +180,27 @@ let test_aggregate_profile_bias () =
     profile;
   Alcotest.(check bool) "biased branch profiled" true !found
 
-let test_event_stream_consistency () =
+(* The retire channel on every backend: one retirement per retired
+   instruction, and each retirement's next_pc is the next one's pc (the
+   last one's is the halt address). *)
+let test_retire_stream_consistency () =
   let img = Program.layout (Progs.sum_to_n 20) in
-  let events = ref [] in
-  let o = Emulator.run ~on_event:(fun e -> events := e :: !events) img in
-  let events = List.rev !events in
-  Alcotest.(check int) "one event per instruction" o.Emulator.instructions
-    (List.length events);
-  (* next_pc chains: each event's next_pc equals the next event's pc. *)
-  let rec chain = function
-    | a :: (b :: _ as rest) ->
-      Alcotest.(check int) "pc chain" b.Emulator.pc a.Emulator.next_pc;
-      chain rest
-    | _ -> ()
-  in
-  chain events
+  List.iter
+    (fun backend ->
+      let tag what = Emulator.backend_name backend ^ ": " ^ what in
+      let retired = ref 0 in
+      let expected_pc = ref img.Image.entry in
+      let on_retire ~pc ~taken:_ ~next_pc ~mem_addr:_ =
+        incr retired;
+        Alcotest.(check int) (tag "pc chain") !expected_pc pc;
+        expected_pc := next_pc
+      in
+      let o = Emulator.run_backend ~backend ~on_retire img in
+      Alcotest.(check int)
+        (tag "one retirement per instruction")
+        o.Emulator.instructions !retired;
+      Alcotest.(check int) (tag "last next_pc") State.halt_address !expected_pc)
+    Emulator.all_backends
 
 let test_package_instruction_accounting () =
   (* Redirect the entry through appended code and check the counters. *)
@@ -206,7 +212,7 @@ let test_package_instruction_accounting () =
   let img3 =
     Image.patch img2 [ (img2.Image.entry, Vp_isa.Instr.Jmp { target = Vp_isa.Instr.Addr base }) ]
   in
-  let o = Emulator.run img3 in
+  let o = Emulator.run_backend img3 in
   Alcotest.(check bool) "halted" true o.Emulator.halted;
   Alcotest.(check int) "package instructions" 2 o.Emulator.package_instructions
 
@@ -281,7 +287,7 @@ let unresolved_branch_image ~taken =
   }
 
 let test_unresolved_branch_not_taken_runs () =
-  let o = Emulator.run (unresolved_branch_image ~taken:false) in
+  let o = Emulator.run_backend (unresolved_branch_image ~taken:false) in
   Alcotest.(check bool) "halted" true o.Emulator.halted;
   Alcotest.(check int) "branch counted" 1 o.Emulator.cond_branches
 
@@ -295,7 +301,7 @@ let test_unresolved_branch_taken_faults () =
          label = Some "nowhere";
          workload = None;
        }) (fun () ->
-      ignore (Emulator.run (unresolved_branch_image ~taken:true)))
+      ignore (Emulator.run_backend (unresolved_branch_image ~taken:true)))
 
 let test_unresolved_jmp_faults () =
   let img =
@@ -317,7 +323,7 @@ let test_unresolved_jmp_faults () =
          label = Some "gone";
          workload = None;
        }) (fun () ->
-      ignore (Emulator.run img))
+      ignore (Emulator.run_backend img))
 
 (* The hot loop must not allocate per retired instruction: minor-heap
    allocation for a 10x longer run stays flat (the decoded form is
@@ -333,10 +339,10 @@ let test_run_allocation_flat () =
     Program.layout (Progs.two_phase ~iters_per_phase:100_000 ~repeats:2)
   in
   (* Warm the decode memo and the state arena. *)
-  ignore (Emulator.run ~fuel:1_000 img);
-  let short = minor_words_during (fun () -> ignore (Emulator.run ~fuel:10_000 img)) in
+  ignore (Emulator.run_backend ~fuel:1_000 img);
+  let short = minor_words_during (fun () -> ignore (Emulator.run_backend ~fuel:10_000 img)) in
   let long =
-    minor_words_during (fun () -> ignore (Emulator.run ~fuel:100_000 img))
+    minor_words_during (fun () -> ignore (Emulator.run_backend ~fuel:100_000 img))
   in
   (* 90k extra instructions; even one boxed word each would show up as
      ~90k words.  Allow generous constant slack. *)
@@ -350,8 +356,8 @@ let prop_random_programs_halt =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let img = Program.layout (Progs.random_arith ~seed) in
-      let a = Emulator.run img in
-      let b = Emulator.run img in
+      let a = Emulator.run_backend img in
+      let b = Emulator.run_backend img in
       a.Emulator.halted && a.Emulator.checksum = b.Emulator.checksum
       && a.Emulator.result = b.Emulator.result)
 
@@ -359,7 +365,7 @@ let prop_spill_sum_matches_closed_form =
   QCheck.Test.make ~name:"spill-heavy sums match closed form" ~count:20
     QCheck.(int_range 1 30)
     (fun n ->
-      let o = Emulator.run (Program.layout (Progs.spill_heavy n)) in
+      let o = Emulator.run_backend (Program.layout (Progs.spill_heavy n)) in
       o.Emulator.result = n * (n + 1) / 2)
 
 (* ------------------------------------------------------------------ *)
@@ -412,12 +418,11 @@ let test_compile_blocks_partition_image () =
    the exhaustion edge against the decoded core. *)
 let test_compiled_fuel_boundary_parity () =
   let img = Program.layout (Progs.factorial 8) in
-  let d = Decode.of_image img in
-  let c = Vp_exec.Compile.of_image img in
-  let full = (Emulator.run_decoded d).Emulator.instructions in
+  let run backend ~fuel = Emulator.run_backend ~backend ~fuel img in
+  let full = (Emulator.run_backend img).Emulator.instructions in
   for fuel = 0 to full + 5 do
-    let a = Emulator.run_decoded ~fuel d in
-    let b = Emulator.run_compiled ~fuel c in
+    let a = run Emulator.Decoded ~fuel in
+    let b = run Emulator.Compiled ~fuel in
     let tag what = Printf.sprintf "fuel %d: %s" fuel what in
     Alcotest.(check int) (tag "instructions") a.Emulator.instructions
       b.Emulator.instructions;
@@ -491,6 +496,157 @@ let test_compiled_observed_allocation_flat () =
     (long -. short < 10_000.);
   Alcotest.(check bool) "observers fired" true (!branches > 0 && !retired > 0)
 
+(* ------------------------------------------------------------------ *)
+(* [run_slice]: chaining slices over one external state at arbitrary
+   fuel cuts is the same run as one [run_backend], on every backend —
+   outcome counters, final state and both observation streams. *)
+
+let stream_digest () =
+  (* FNV-1a folded into OCaml's 63-bit native int (basis truncated). *)
+  let h = ref 0x3bf29ce484222325 in
+  (h, fun x -> h := (!h lxor x) * 0x100000001b3)
+
+let observed_run run =
+  let branches, mix_branch = stream_digest () in
+  let retires, mix_retire = stream_digest () in
+  let on_branch ~pc ~taken =
+    mix_branch pc;
+    mix_branch (Bool.to_int taken)
+  in
+  let on_retire ~pc ~taken ~next_pc ~mem_addr =
+    mix_retire pc;
+    mix_retire (Bool.to_int taken);
+    mix_retire next_pc;
+    mix_retire mem_addr
+  in
+  let o = run ~on_branch ~on_retire in
+  (o, !branches, !retires)
+
+let test_slice_chaining () =
+  (* A rewritten image, so package instructions are part of the run. *)
+  let original = Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3) in
+  let config = Vacuum.Config.with_detector Vp_hsd.Config.tiny Vacuum.Config.default in
+  let img = Vacuum.Driver.rewritten_image (Vacuum.Driver.rewrite ~config original) in
+  let cuts = [| 1; 7; 0; 1000; 33; 4096; 2; 50_000 |] in
+  let chained ~backend ~on_branch ~on_retire =
+    let state = State.create ~mem_words:(1 lsl 20) img in
+    let instructions = ref 0 and package = ref 0 and branches = ref 0 in
+    let rec go i =
+      let s =
+        Emulator.run_slice ~backend ~state ~fuel:cuts.(i mod Array.length cuts)
+          ~on_branch ~on_retire img
+      in
+      instructions := !instructions + s.Emulator.instructions;
+      package := !package + s.Emulator.package_instructions;
+      branches := !branches + s.Emulator.cond_branches;
+      if not s.Emulator.halted then go (i + 1)
+      else
+        {
+          s with
+          Emulator.instructions = !instructions;
+          package_instructions = !package;
+          cond_branches = !branches;
+        }
+    in
+    go 0
+  in
+  List.iter
+    (fun backend ->
+      let tag what = Emulator.backend_name backend ^ ": " ^ what in
+      let whole, wb, wr =
+        observed_run (fun ~on_branch ~on_retire ->
+            Emulator.run_backend ~backend ~on_branch ~on_retire img)
+      in
+      let sliced, sb, sr = observed_run (chained ~backend) in
+      Alcotest.(check bool) (tag "halted") true sliced.Emulator.halted;
+      Alcotest.(check bool)
+        (tag "package code ran")
+        true
+        (whole.Emulator.package_instructions > 0);
+      Alcotest.(check int) (tag "instructions") whole.Emulator.instructions
+        sliced.Emulator.instructions;
+      Alcotest.(check int)
+        (tag "package instructions")
+        whole.Emulator.package_instructions sliced.Emulator.package_instructions;
+      Alcotest.(check int) (tag "cond branches") whole.Emulator.cond_branches
+        sliced.Emulator.cond_branches;
+      Alcotest.(check int) (tag "checksum") whole.Emulator.checksum
+        sliced.Emulator.checksum;
+      Alcotest.(check int) (tag "result") whole.Emulator.result
+        sliced.Emulator.result;
+      Alcotest.(check int) (tag "on_branch digest") wb sb;
+      Alcotest.(check int) (tag "on_retire digest") wr sr)
+    Emulator.all_backends
+
+(* ------------------------------------------------------------------ *)
+(* The documented fault contract: leaving the image raises the typed
+   emulator error with the offending pc on every backend. *)
+
+let raw_image code =
+  {
+    Image.code;
+    syms = [ { Image.name = "main"; start = 0; len = Array.length code } ];
+    entry = 0;
+    orig_limit = Array.length code;
+    data_init = [];
+    data_break = 0;
+  }
+
+let test_leaving_image_faults () =
+  let far = Instr.Addr 1000 in
+  let cases =
+    [
+      ( "ret",
+        [| Instr.Li { dst = Reg.ra; imm = 1000 }; Instr.Ret |],
+        1000 );
+      ("jmp", [| Instr.Jmp { target = far }; Instr.Halt |], 1000);
+      ("call", [| Instr.Call { target = far }; Instr.Halt |], 1000);
+      ( "taken br",
+        [|
+          Instr.Br
+            { cond = Vp_isa.Op.Eq; src1 = Reg.zero; src2 = Reg.zero; target = far };
+          Instr.Halt;
+        |],
+        1000 );
+      ("run off the end", [| Instr.Nop; Instr.Nop |], 2);
+    ]
+  in
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun (what, code, pc) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s: %s" (Emulator.backend_name backend) what)
+            (Vp_util.Error.Error
+               {
+                 stage = "emulator";
+                 what = Printf.sprintf "pc 0x%x outside image" pc;
+                 pc = Some pc;
+                 label = None;
+                 workload = None;
+               })
+            (fun () -> ignore (Emulator.run_backend ~backend (raw_image code))))
+        cases;
+      (* An executed unresolved label names the label instead. *)
+      List.iter
+        (fun img ->
+          Alcotest.check_raises
+            (Emulator.backend_name backend ^ ": unresolved label")
+            (Vp_util.Error.Error
+               {
+                 stage = "emulator";
+                 what = "unresolved label nowhere";
+                 pc = None;
+                 label = Some "nowhere";
+                 workload = None;
+               })
+            (fun () -> ignore (Emulator.run_backend ~backend img)))
+        [
+          unresolved_branch_image ~taken:true;
+          raw_image [| Instr.Call { target = Instr.Label "nowhere" }; Instr.Halt |];
+        ])
+    Emulator.all_backends
+
 let () =
   Alcotest.run "vp_exec"
     [
@@ -511,6 +667,8 @@ let () =
           Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion;
           Alcotest.test_case "memory fault" `Quick test_memory_fault;
           Alcotest.test_case "package accounting" `Quick test_package_instruction_accounting;
+          Alcotest.test_case "leaving the image faults" `Quick
+            test_leaving_image_faults;
           Alcotest.test_case "checksum stability" `Quick test_checksum_stability;
         ] );
       ( "builder-control",
@@ -552,7 +710,8 @@ let () =
         [
           Alcotest.test_case "branch observer" `Quick test_branch_observation;
           Alcotest.test_case "aggregate profile" `Quick test_aggregate_profile_bias;
-          Alcotest.test_case "event stream" `Quick test_event_stream_consistency;
+          Alcotest.test_case "retire stream" `Quick test_retire_stream_consistency;
+          Alcotest.test_case "slice chaining" `Quick test_slice_chaining;
           QCheck_alcotest.to_alcotest prop_random_programs_halt;
           QCheck_alcotest.to_alcotest prop_spill_sum_matches_closed_form;
         ] );

@@ -29,7 +29,7 @@ module Progs = Vp_test_support.Progs
 let pipeline ?(linking = true) ?(block_inference = true) img =
   let d = Detector.create ~config:Config.tiny () in
   let original =
-    Emulator.run ~on_branch:(fun ~pc ~taken -> Detector.on_branch d ~pc ~taken) img
+    Emulator.run_backend ~on_branch:(fun ~pc ~taken -> Detector.on_branch d ~pc ~taken) img
   in
   let log = Phase_log.build (Detector.snapshots d) in
   let config = { Identify.default with Identify.block_inference } in
@@ -78,7 +78,7 @@ let recursive_workload () =
 let check_equivalence name img =
   let original, _, pkgs, result = pipeline img in
   Alcotest.(check bool) (name ^ ": packages built") true (pkgs <> []);
-  let rewritten = Emulator.run result.Emit.image in
+  let rewritten = Emulator.run_backend result.Emit.image in
   Alcotest.(check bool) (name ^ ": halted") true rewritten.Emulator.halted;
   Alcotest.(check int) (name ^ ": same result") original.Emulator.result
     rewritten.Emulator.result;
@@ -114,7 +114,7 @@ let test_rewrite_biased_branch () =
 let test_rewrite_without_linking () =
   let img = Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3) in
   let original, _, _, result = pipeline ~linking:false img in
-  let rewritten = Emulator.run result.Emit.image in
+  let rewritten = Emulator.run_backend result.Emit.image in
   Alcotest.(check int) "same result" original.Emulator.result rewritten.Emulator.result;
   Alcotest.(check int) "same checksum" original.Emulator.checksum
     rewritten.Emulator.checksum
@@ -122,7 +122,7 @@ let test_rewrite_without_linking () =
 let test_rewrite_without_inference () =
   let img = Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3) in
   let original, _, _, result = pipeline ~block_inference:false img in
-  let rewritten = Emulator.run result.Emit.image in
+  let rewritten = Emulator.run_backend result.Emit.image in
   Alcotest.(check int) "same result" original.Emulator.result rewritten.Emulator.result;
   Alcotest.(check int) "same checksum" original.Emulator.checksum
     rewritten.Emulator.checksum
@@ -180,7 +180,7 @@ let test_roots_self_recursive () =
   let img = recursive_workload () in
   let d = Detector.create ~config:Config.tiny () in
   let _ =
-    Emulator.run ~on_branch:(fun ~pc ~taken -> Detector.on_branch d ~pc ~taken) img
+    Emulator.run_backend ~on_branch:(fun ~pc ~taken -> Detector.on_branch d ~pc ~taken) img
   in
   let log = Phase_log.build (Detector.snapshots d) in
   let phase = List.hd (Phase_log.phases log) in
@@ -201,7 +201,7 @@ let test_prune_view_consistency () =
   let img = recursive_workload () in
   let d = Detector.create ~config:Config.tiny () in
   let _ =
-    Emulator.run ~on_branch:(fun ~pc ~taken -> Detector.on_branch d ~pc ~taken) img
+    Emulator.run_backend ~on_branch:(fun ~pc ~taken -> Detector.on_branch d ~pc ~taken) img
   in
   let log = Phase_log.build (Detector.snapshots d) in
   let phase = List.hd (Phase_log.phases log) in
@@ -537,7 +537,7 @@ let prop_rewrite_equivalence_random =
     (fun (iters, repeats) ->
       let img = Program.layout (Progs.two_phase ~iters_per_phase:iters ~repeats) in
       let original, _, _, result = pipeline img in
-      let rewritten = Emulator.run result.Emit.image in
+      let rewritten = Emulator.run_backend result.Emit.image in
       rewritten.Emulator.halted
       && original.Emulator.result = rewritten.Emulator.result
       && original.Emulator.checksum = rewritten.Emulator.checksum)

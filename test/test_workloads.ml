@@ -59,7 +59,7 @@ let test_callgraphs_rooted_at_main () =
 (* Running all 16 full workloads is minutes of work; take the smaller
    input of each multi-input bench and cap the rest by fuel. *)
 let quick_run w =
-  Emulator.run ~fuel:50_000_000 (Program.layout (w.Registry.program ()))
+  Emulator.run_backend ~fuel:50_000_000 (Program.layout (w.Registry.program ()))
 
 let test_small_inputs_halt () =
   List.iter
@@ -91,7 +91,7 @@ let test_phased_behaviour () =
       let img = Program.layout (w.Registry.program ()) in
       let d = Detector.create () in
       let _ =
-        Emulator.run ~on_branch:(fun ~pc ~taken -> Detector.on_branch d ~pc ~taken) img
+        Emulator.run_backend ~on_branch:(fun ~pc ~taken -> Detector.on_branch d ~pc ~taken) img
       in
       let log = Vp_phase.Phase_log.build (Detector.snapshots d) in
       Alcotest.(check bool)
@@ -107,7 +107,7 @@ let test_ballast_is_cold () =
   let img = Program.layout (w.Registry.program ()) in
   let d = Detector.create () in
   let _ =
-    Emulator.run ~on_branch:(fun ~pc ~taken -> Detector.on_branch d ~pc ~taken) img
+    Emulator.run_backend ~on_branch:(fun ~pc ~taken -> Detector.on_branch d ~pc ~taken) img
   in
   List.iter
     (fun snap ->
